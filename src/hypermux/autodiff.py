@@ -8,7 +8,8 @@ adjoints. `backward` replays the closures in reverse topological order.
 
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
-values living on a fixed sparsity pattern (`SparsePattern` + `spmm`).
+values living on a fixed sparsity pattern (`SparsePattern` + `spmm`, and
+`SymmetricPattern` + `normalize_blocks` for degree normalization).
 
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
@@ -227,12 +228,15 @@ class SparsePattern:
         if self.rows.shape != self.cols.shape or self.rows.ndim != 1:
             raise ShapeError("SparsePattern: rows/cols must be equal-length 1-d")
         n, m = self.shape
-        order = np.lexsort((self.cols, self.rows))
+        self._flat = self.rows * m + self.cols  # row-major offsets in the dense matrix
+        # a stable sort of one int64 key orders like a lexsort by (row, col),
+        # and runs in linear time on a pattern already in that order
+        order = np.argsort(self._flat, kind="stable")
         self._perm = order
         self._indices = self.cols[order].astype(np.int32)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows, minlength=n), out=self._indptr[1:])
-        order_t = np.lexsort((self.rows, self.cols))
+        order_t = np.argsort(self.cols * n + self.rows, kind="stable")
         self._perm_t = order_t
         self._indices_t = self.rows[order_t].astype(np.int32)
         self._indptr_t = np.zeros(m + 1, dtype=np.int32)
@@ -254,6 +258,29 @@ class SparsePattern:
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = values
         return out
+
+
+class SymmetricPattern(SparsePattern):
+    """Square pattern closed under transposition that holds the diagonal.
+
+    Entries are in CSR order (row-major, columns ascending, no repeats).
+    `indptr[i]` is where row i starts, `diag[i]` the position of (i, i)
+    and `mirror[e]` the position of entry e's transpose.
+    """
+
+    def __init__(self, rows, cols, n):
+        super().__init__(rows, cols, (n, n))
+        if np.any(np.diff(self._flat) <= 0):
+            raise ShapeError("SymmetricPattern: entries must be in CSR order, no repeats")
+        # the transpose's CSR order lists the mirror images of the entries
+        self.mirror = self._perm_t
+        if not (np.array_equal(self.rows[self.mirror], self.cols)
+                and np.array_equal(self.cols[self.mirror], self.rows)):
+            raise ShapeError("SymmetricPattern: pattern is not symmetric")
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        if self.diag.size != n:
+            raise ShapeError("SymmetricPattern: pattern must hold the whole diagonal")
+        self.indptr = self._indptr
 
 
 def spmm_const(mat, mat_t, x):
@@ -289,7 +316,7 @@ def spmm(pattern, values, x):
         gv = None
         if nv:
             if dense_adjoint:  # contract densely, then pick the pattern
-                gv = (g @ x.value.T)[pattern.rows, pattern.cols]
+                gv = np.take((g @ x.value.T).ravel(), pattern._flat)
             else:
                 gv = np.einsum("ij,ij->i", g[pattern.rows], x.value[pattern.cols])
         gx = pattern.csr_t(values.value) @ g if nx else None
@@ -321,16 +348,20 @@ def gather_nd(x, rows, cols, unique=False):
 
 
 def scatter_nd(values, rows, cols, shape):
-    """Dense matrix with `values` placed at (rows, cols), zero elsewhere."""
+    """Dense array with `values` placed at (rows, cols), zero elsewhere.
+
+    With a 3-d `shape` (k, n, m), the (k, len(rows)) `values` fill the
+    same positions of all k matrices.
+    """
     if not is_tensor(values):
         out = np.zeros(shape)
-        out[rows, cols] = val(values)
+        out[..., rows, cols] = val(values)
         return out
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     out = np.zeros(shape)
-    out[rows, cols] = values.value
-    return _node(out, (values,), lambda g: (g[rows, cols],))
+    out[..., rows, cols] = values.value
+    return _node(out, (values,), lambda g: (g[..., rows, cols],))
 
 
 # ---------------------------------------------------------------------------
@@ -630,48 +661,46 @@ def block_weighted_sum(x, coeffs, block):
     return _node(out, (xt, ct), vjp)
 
 
-def normalize_blocks(a, block):
-    """Degree-normalize every (block x block) slab of a stacked matrix.
+def normalize_blocks(values, pattern):
+    """Degree-normalize k symmetric matrices given as values on one pattern.
 
-    Each slab A becomes S (A + I) S with S = diag(rowsum(A + I))^-1/2.
+    Row j of the (k, nnz) `values` holds matrix A_j on `pattern`, a
+    `SymmetricPattern`. Each A_j becomes S (A_j + I) S with
+    S = diag(rowsum(A_j + I))^-1/2, returned on the same pattern. Row
+    sums reduce over the CSR rows; the column factors' adjoint reads
+    them through the transpose permutation, so nothing is densified.
     Fused single op (forward and adjoint written by hand) because this
     sits on the per-epoch hot path for every aggregated level.
     """
-    arr = val(a)
-    if arr.ndim != 2 or arr.shape[1] != block or arr.shape[0] % block:
-        raise ShapeError(f"normalize_blocks: shape {arr.shape} not a stack of "
-                         f"({block}, {block}) blocks")
-    k = arr.shape[0] // block
+    arr = val(values)
+    if arr.ndim != 2 or arr.shape[1] != pattern.nnz:
+        raise ShapeError(f"normalize_blocks: values shape {arr.shape} not "
+                         f"(k, {pattern.nnz}) on the pattern")
+    rows, cols = pattern.rows, pattern.cols
+    starts = pattern.indptr[:-1]  # every row holds its diagonal, so none is empty
 
     b = arr.copy()
-    idx = np.arange(block)
-    for blk in range(k):  # add I without materializing a tiled identity
-        b[blk * block + idx, idx] += 1.0
-    deg = b.sum(axis=1, keepdims=True)
+    b[:, pattern.diag] += 1.0
+    deg = np.add.reduceat(b, starts, axis=1)
     s = 1.0 / np.sqrt(deg)
-    y = b * s
-    s_rows = s.reshape(k, block)
-    y3 = y.reshape(k, block, block)
-    y3 *= s_rows[:, None, :]
-    y = y3.reshape(k * block, block)
+    y = b * s[:, rows]
+    y *= s[:, cols]
 
-    if not is_tensor(a):
+    if not is_tensor(values):
         return y
 
     def vjp(g):
-        gb = g * s  # d/dB through the row factors, col factors applied next
-        gb3 = gb.reshape(k, block, block)
-        gb3 *= s_rows[:, None, :]
-        gb = gb3.reshape(k * block, block)
         # d/ds collects the row-factor and column-factor appearances
-        row_term = (g.reshape(k, block, block) * y3).sum(axis=2).reshape(-1, 1)
-        col_term = (g.reshape(k, block, block)
-                    * (b * s).reshape(k, block, block)).sum(axis=1).reshape(-1, 1)
-        gs = row_term / s + col_term
+        gy = g * y
+        gs = (np.add.reduceat(gy, starts, axis=1)
+              + np.add.reduceat(gy[:, pattern.mirror], starts, axis=1)) / s
         gdeg = -0.5 * gs * s / deg
-        return (gb + gdeg,)
+        gb = g * s[:, rows]  # d/dB through the row factors, col factors next
+        gb *= s[:, cols]
+        gb += gdeg[:, rows]
+        return (gb,)
 
-    return _node(y, (a,), vjp)
+    return _node(y, (values,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,6 @@ DEFAULTS = {
     "model.layers": 2,
     "model.embed": 96,
     "model.leaky_slope": 0.01,
-    "model.dense_threshold": 0.25,
-    "model.drop_tol": 1e-4,
     "train.lr": 0.001,
     "train.weight_decay": 1e-5,
     "train.epochs": 1000,
@@ -139,9 +137,7 @@ def _model_config(resolved):
         n_layers=int(resolved["model.layers"]),
         embed_size=int(resolved["model.embed"]),
         manifold=resolved["model.manifold"],
-        leaky_slope=float(resolved["model.leaky_slope"]),
-        dense_threshold=float(resolved["model.dense_threshold"]),
-        drop_tol=float(resolved["model.drop_tol"]))
+        leaky_slope=float(resolved["model.leaky_slope"]))
     return cfg
 
 

@@ -36,8 +36,9 @@ class EstimatorError(ValueError):
 def _two_neighbor_ratios(points, chunk=512):
     """mu_i = r2/r1 per point, exact brute-force neighbors.
 
-    Ties in distance resolve to the lower point index (stable argsort),
-    which does not affect the distance values themselves.
+    Only the two smallest distances of each row matter, so a partial
+    partition stands in for a full sort; which of two tied neighbors is
+    picked does not change the distance values.
     """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
@@ -48,8 +49,7 @@ def _two_neighbor_ratios(points, chunk=512):
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :2]
-        r = np.sqrt(np.take_along_axis(d2, idx, axis=1))
+        r = np.sqrt(np.partition(d2, 1, axis=1)[:, :2])
         mu[start:stop] = r[:, 1] / r[:, 0]
     return mu
 

@@ -13,12 +13,16 @@ Per layer l (with D_{l-1} current latent dimensions):
      (relu), and re-normalize them for the next layer.
 
 The combination logits are traced, so gradients flow through the latent
-adjacencies back into them. Each hierarchy level stores its D matrices
-as one (D*N, N) vertical block stack: propagation over every dimension
-is then a single sparse-or-dense product, and re-normalization
-vectorizes across blocks. Aggregated levels denser than
-`dense_threshold` stay dense; sparser ones drop entries below
-`drop_tol` and propagate through a fixed-pattern sparse product.
+adjacencies back into them. The alpha weights are softmax outputs
+(positive) and normalized adjacencies are nonnegative, so every level's
+support lies inside one fixed pattern per graph: the union of the input
+supports plus the diagonal. Each level is a (D, nnz) array of values on
+that pattern; aggregation is a (D_l x D_{l-1}) product over values and
+re-normalization reduces over the pattern's rows, so memory grows with
+D*nnz rather than D*N^2. For propagation the D matrices act as one
+(D*N, N) vertical block stack, a single product over every dimension:
+sparse on the stacked pattern, or dense when the union fills more than
+`DENSE_UNION_DENSITY` of the N x N entries.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ class ModelConfig:
     manifold: str = mf.LORENTZ
     dim_schedule: tuple | None = None  # resolved against the input D
     leaky_slope: float = 0.01  # sigma is leaky relu; phi is relu
-    dense_threshold: float = 0.25
-    drop_tol: float = 1e-4
     train_alpha: bool = True
 
     @classmethod
@@ -147,42 +149,91 @@ def init_params(d_input, f_input, config: ModelConfig, seed=0):
 # ---------------------------------------------------------------------------
 # stacked adjacency levels
 
+DENSE_UNION_DENSITY = 0.25  # built levels of a denser union propagate densely
 
-class StackedAdjacency:
-    """D symmetric N x N adjacencies stored as one (D*N, N) block stack.
 
-    modes: "const"  - input level, scipy CSR, never traced;
-           "dense"  - traced dense Tensor;
-           "sparse" - traced values on a fixed SparsePattern.
+class UnionPattern(ad.SymmetricPattern):
+    """One graph's union of input supports plus the diagonal, in CSR order.
+
+    Every hierarchy level lives on it. `mode` is the storage of the built
+    levels: "dense" when the union fills more than DENSE_UNION_DENSITY
+    of the N x N entries (a BLAS product then beats a CSR product and
+    its transpose), "sparse" otherwise.
     """
 
-    def __init__(self, n, n_blocks, mode, csr=None, csr_t=None, dense=None,
-                 pattern=None, values=None):
-        self.n = n
-        self.n_blocks = n_blocks
+    def __init__(self, mats):
+        """`mats`: the graph's N x N sparse input matrices."""
+        n = mats[0].shape[0]
+        coos = [m.tocoo() for m in mats]
+        keys = np.unique(np.concatenate(
+            [c.row.astype(np.int64) * n + c.col for c in coos]
+            + [np.arange(n, dtype=np.int64) * (n + 1)]))  # row-major offsets
+        super().__init__(keys // n, keys % n, n)
+        self.density = self.nnz / (n * n)
+        self.mode = "dense" if self.density > DENSE_UNION_DENSITY else "sparse"
+        self._stacked = {}
+
+    def values_of(self, mats):
+        """(D, nnz) values of the given N x N sparse matrices on the pattern."""
+        out = np.zeros((len(mats), self.nnz))
+        n = self.shape[0]
+        for d, m in enumerate(mats):
+            c = m.tocoo()
+            out[d, np.searchsorted(self._flat, c.row.astype(np.int64) * n + c.col)] = c.data
+        return out
+
+    def stacked(self, k):
+        """Pattern of k blocks of this one stacked into (k*N, N), built once."""
+        if k not in self._stacked:
+            n = self.shape[0]
+            rows = (np.arange(k, dtype=np.int64)[:, None] * n + self.rows).ravel()
+            self._stacked[k] = ad.SparsePattern(rows, np.tile(self.cols, k), (k * n, n))
+        return self._stacked[k]
+
+    def to_dense(self, values):
+        """(k, N, N) array of the matrices whose (k, nnz) values are given."""
+        n = self.shape[0]
+        return ad.scatter_nd(values, self.rows, self.cols, (val(values).shape[0], n, n))
+
+
+class StackedAdjacency:
+    """D symmetric N x N adjacencies on one `UnionPattern`.
+
+    `values` holds them as a (D, nnz) array over `union`; for propagation
+    they act as one (D*N, N) vertical block stack, stored by `mode`:
+           "const"  - input level, the normalized inputs as scipy CSR,
+                      never traced;
+           "dense"  - traced values scattered into a dense Tensor;
+           "sparse" - traced values on the union's stacked `SparsePattern`.
+    """
+
+    def __init__(self, union, values, mode, csr=None, csr_t=None, dense=None,
+                 pattern=None):
+        self.union = union
+        self.n = union.shape[0]
+        self.n_blocks = val(values).shape[0]
+        self.values = values
         self.mode = mode
         self.csr = csr
         self.csr_t = csr_t
         self.dense = dense
         self.pattern = pattern
-        self.values = values
 
     @classmethod
-    def from_csr_list(cls, mats):
+    def from_csr_list(cls, mats, union):
         mats = [m.tocsr() for m in mats]
-        n = mats[0].shape[0]
         stack = sps.vstack(mats, format="csr")
-        out = cls(n, len(mats), "const", csr=stack, csr_t=stack.T.tocsr())
-        out._flat_const = None  # densified lazily, then reused every epoch
-        return out
+        return cls(union, union.values_of(mats), "const", csr=stack,
+                   csr_t=stack.T.tocsr())
 
     @classmethod
-    def from_dense_tensor(cls, dense, n):
-        return cls(n, val(dense).shape[0] // n, "dense", dense=dense)
-
-    @classmethod
-    def from_sparse_tensor(cls, pattern, values, n):
-        return cls(n, pattern.shape[0] // n, "sparse", pattern=pattern, values=values)
+    def built(cls, union, values):
+        """A traced level, stored as the union's `mode` says."""
+        k, n = val(values).shape[0], union.shape[0]
+        if union.mode == "dense":
+            return cls(union, values, "dense",
+                       dense=ad.reshape(union.to_dense(values), (k * n, n)))
+        return cls(union, values, "sparse", pattern=union.stacked(k))
 
     def matmul(self, x):
         """(D*N, N) @ (N, F): propagation through every block at once."""
@@ -190,36 +241,23 @@ class StackedAdjacency:
             return ad.spmm_const(self.csr, self.csr_t, x)
         if self.mode == "dense":
             return ad.matmul(self.dense, x)
-        return ad.spmm(self.pattern, self.values, x)
-
-    def flat_tensor(self):
-        """(D, N*N) view feeding the next aggregation."""
-        if self.mode == "const":
-            if getattr(self, "_flat_const", None) is None:
-                self._flat_const = self.csr.toarray().reshape(self.n_blocks,
-                                                              self.n * self.n)
-            return ad.constant(self._flat_const)
-        if self.mode == "dense":
-            return ad.reshape(self.dense, (self.n_blocks, self.n * self.n))
-        dense = ad.scatter_nd(self.values, self.pattern.rows, self.pattern.cols,
-                              self.pattern.shape)
-        return ad.reshape(dense, (self.n_blocks, self.n * self.n))
-
-    def block_values(self):
-        """Plain ndarray copies of the individual matrices."""
-        if self.mode == "const":
-            full = self.csr.toarray()
-        elif self.mode == "dense":
-            full = val(self.dense)
-        else:
-            full = self.pattern.to_dense(val(self.values))
-        return [full[j * self.n:(j + 1) * self.n] for j in range(self.n_blocks)]
+        return ad.spmm(self.pattern, ad.reshape(self.values, (-1,)), x)
 
 
-def prepare_adjacencies(graph):
-    """Normalize every input dimension once, at load time, and stack them."""
-    return StackedAdjacency.from_csr_list(
-        [normalize_adjacency(a) for a in graph.dims])
+def prepare_adjacencies(graph, config: ModelConfig | None = None):
+    """Normalize every input dimension once, at load time, and stack them.
+
+    Also fixes the graph's union pattern and, given the model `config`,
+    the stacked patterns of the levels its schedule builds, so no epoch
+    builds them.
+    """
+    mats = [normalize_adjacency(a) for a in graph.dims]
+    union = UnionPattern(mats)
+    if config is not None and union.mode == "sparse":
+        for k in resolve_dim_schedule(len(mats), config.n_layers,
+                                      config.dim_schedule)[1:]:
+            union.stacked(k)
+    return StackedAdjacency.from_csr_list(mats, union)
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +329,17 @@ def hierarchical_aggregate(adjacencies, alpha_logits):
 # full forward pass
 
 
-def _level_storage(normalized, n, config, scratch=None, key=None):
-    nv = val(normalized)
-    keep = np.abs(nv) >= config.drop_tol
-    density = keep.mean()
-    if density > config.dense_threshold:
-        return StackedAdjacency.from_dense_tensor(normalized, n)
-    rows, cols = np.nonzero(keep)
-    pattern = scratch.get(key) if scratch is not None else None
-    if pattern is None or not (np.array_equal(pattern.rows, rows)
-                               and np.array_equal(pattern.cols, cols)):
-        pattern = ad.SparsePattern(rows, cols, nv.shape)
-        if scratch is not None:
-            scratch[key] = pattern  # support rarely moves between epochs
-    values = ad.gather_nd(normalized, pattern.rows, pattern.cols, unique=True)
-    return StackedAdjacency.from_sparse_tensor(pattern, values, n)
-
-
 @dataclass
 class Hierarchy:
     """Adjacency levels 0..L plus diagnostics captured while building."""
 
     levels: list  # StackedAdjacency per level, block counts = dim_schedule
-    raw_flat: list  # per layer, (D_l, N*N) pre-normalization values
+    raw_flat: list  # per layer, (D_l, nnz) pre-normalization values on the union
     softmax_dev: float  # max |sum(alpha row) - 1| across layers
 
     def raw_matrices(self, layer):
         """Pre-normalization aggregated (N, N) matrices of one layer."""
-        n = self.levels[0].n
-        return [row.reshape(n, n).copy() for row in self.raw_flat[layer]]
+        return list(self.levels[0].union.to_dense(self.raw_flat[layer]))
 
     @property
     def raw_aggregated(self):
@@ -327,17 +347,13 @@ class Hierarchy:
 
 
 def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
-                    config: ModelConfig, scratch=None):
-    """Latent adjacency levels; level 0 is the (constant) normalized input.
-
-    `scratch` is an optional cross-epoch cache (sparsity patterns and the
-    like) owned by a training loop.
-    """
-    n = level0.n
+                    config: ModelConfig):
+    """Latent adjacency levels; level 0 is the (constant) normalized input."""
+    union = level0.union
     levels = [level0]
     raw_all = []
     dev = 0.0
-    for idx, layer in enumerate(params.layers):
+    for layer in params.layers:
         current = levels[-1]
         if len(layer.weights) != current.n_blocks:
             raise ModelConfigError(
@@ -345,12 +361,9 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
                 f"{current.n_blocks} latent dimensions")
         alpha = ad.softmax(layer.alpha_logits, axis=-1)
         dev = max(dev, float(np.abs(val(alpha).sum(axis=-1) - 1.0).max()))
-        agg_flat = ad.relu(ad.matmul(alpha, current.flat_tensor()))
-        d_out = val(alpha).shape[0]
-        raw_all.append(val(agg_flat))
-        stacked = ad.reshape(agg_flat, (d_out * n, n))
-        levels.append(_level_storage(ad.normalize_blocks(stacked, n), n, config,
-                                     scratch=scratch, key=idx))
+        raw = ad.relu(ad.matmul(alpha, current.values))
+        raw_all.append(val(raw))
+        levels.append(StackedAdjacency.built(union, ad.normalize_blocks(raw, union)))
     return Hierarchy(levels, raw_all, dev)
 
 
@@ -393,7 +406,7 @@ def forward(graph_or_level, x, params: ModelParams, config: ModelConfig):
     if isinstance(graph_or_level, StackedAdjacency):
         level0 = graph_or_level
     else:
-        level0 = prepare_adjacencies(graph_or_level)
+        level0 = prepare_adjacencies(graph_or_level, config)
     hierarchy = build_hierarchy(level0, params, config)
     z, dev, violation = propagate(hierarchy, x, params, config)
     return ForwardResult(z, hierarchy, max(dev, hierarchy.softmax_dev), violation)
@@ -403,6 +416,8 @@ def forward(graph_or_level, x, params: ModelParams, config: ModelConfig):
 # checkpoints
 
 CHECKPOINT_FORMAT = 1
+# model config fields older checkpoints may still carry; ignored on load
+RETIRED_CONFIG_KEYS = ("dense_threshold", "drop_tol")
 
 
 def save_checkpoint(path, params: ModelParams, q, model_config: ModelConfig,
@@ -428,7 +443,8 @@ def load_checkpoint(path):
     """Inverse of `save_checkpoint`: (params, Q tensor, ModelConfig, meta)."""
     with np.load(path) as data:
         header = json.loads(bytes(data["__meta__"]).decode())
-        cfg_kwargs = dict(header["model"])
+        cfg_kwargs = {k: v for k, v in header["model"].items()
+                      if k not in RETIRED_CONFIG_KEYS}
         if cfg_kwargs.get("dim_schedule") is not None:
             cfg_kwargs["dim_schedule"] = tuple(cfg_kwargs["dim_schedule"])
         config = ModelConfig(**cfg_kwargs)

@@ -164,7 +164,6 @@ class TrainResult:
     final_loss: float
     best_loss: float
     n_epochs: int
-    hierarchy_final: list  # per layer, list of raw aggregated (N, N) arrays
     max_lorentz_violation: float = 0.0
     max_softmax_dev: float = 0.0
     aborted: str | None = None
@@ -178,7 +177,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     aborts, keeping the parameters from before the offending update.
     """
     train_config.validate()
-    level0 = mdl.prepare_adjacencies(graph)
+    level0 = mdl.prepare_adjacencies(graph, model_config)
     x = np.asarray(graph.features, dtype=np.float64)
     params = mdl.init_params(graph.n_dims, x.shape[1], model_config,
                              seed=derive_seed(train_config.seed, 101))
@@ -193,13 +192,11 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     max_dev = 0.0
     z_value = None
     z_tangent = None
-    hierarchy_raw = []
     aborted = None
     epoch = 0
-    scratch = {}
 
     for epoch in range(1, train_config.max_epochs + 1):
-        hierarchy = mdl.build_hierarchy(level0, params, model_config, scratch=scratch)
+        hierarchy = mdl.build_hierarchy(level0, params, model_config)
         z, dev_c, viol_c = mdl.propagate(hierarchy, x, params, model_config)
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
         z_hat, dev_h, viol_h = mdl.propagate(hierarchy, x_hat, params, model_config)
@@ -214,7 +211,6 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
         max_dev = max(max_dev, dev_c, dev_h, hierarchy.softmax_dev)
         z_value = val(z).copy()
         z_tangent = val(mf.to_euclidean(ad.constant(z_value), model_config.manifold))
-        hierarchy_raw = hierarchy.raw_flat
 
         row = HistoryRow(epoch, loss_value)
         if train_config.telemetry:
@@ -238,14 +234,11 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     if z_value is None:
         raise TrainingError(aborted or "training produced no usable epoch")
 
-    n = graph.n_nodes
-    raw_matrices = [[row.reshape(n, n).copy() for row in flat]
-                    for flat in hierarchy_raw]
     return TrainResult(
         params=params, discriminator=q, config=model_config,
         z_final=z_value, z_tangent=z_tangent, history=history,
         final_loss=history[-1].loss, best_loss=min(r.loss for r in history),
-        n_epochs=epoch, hierarchy_final=raw_matrices,
+        n_epochs=epoch,
         max_lorentz_violation=max_violation, max_softmax_dev=max_dev,
         aborted=aborted)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 import hypermux.autodiff as ad
@@ -18,6 +19,9 @@ def _mat(shape, lo=-1.0, hi=1.0, rng=None):
 
 
 PAT = ad.SparsePattern(np.array([0, 0, 1, 2, 3]), np.array([0, 2, 1, 2, 0]), (4, 3))
+# symmetric 4 x 4 pattern with the diagonal: edges 0-1, 0-3, 1-2
+SYM = ad.SymmetricPattern(*np.nonzero(np.eye(4) + np.array(
+    [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])), 4)
 
 PRIMITIVE_PROBES = {
     "add": (lambda v: ad.tsum(ad.mul(ad.add(v["a"], v["b"]), v["a"])),
@@ -81,9 +85,9 @@ PRIMITIVE_PROBES = {
                      {"x": _mat((6, 4)), "w0": _mat((4, 2)), "w1": _mat((4, 2))}),
     "block_weighted_sum": (lambda v: ad.tsum(ad.block_weighted_sum(v["x"], v["c"], 3)),
                            {"x": _mat((6, 4)), "c": _mat((1, 2))}),
-    "normalize_blocks": (lambda v, _w=_mat((6, 3)): ad.tsum(ad.mul(
-        ad.normalize_blocks(v["a"], 3), _w)),
-        {"a": np.abs(_mat((6, 3)))}),
+    "normalize_blocks": (lambda v, _w=_mat((2, SYM.nnz)): ad.tsum(ad.mul(
+        ad.normalize_blocks(v["a"], SYM), _w)),
+        {"a": np.abs(_mat((2, SYM.nnz)))}),
     "where_mask": (lambda v: ad.tsum(ad.where_mask(
         np.array([[True, False], [False, True]]), v["a"], v["b"])),
         {"a": _mat((2, 2)), "b": _mat((2, 2))}),
@@ -186,6 +190,56 @@ def test_backward_seed_shape_mismatch():
 def test_grad_check_requires_scalar():
     with pytest.raises(ValueError, match="scalar"):
         ad.grad_check(lambda v: ad.mul(v["a"], v["a"]), {"a": np.ones((2, 2))})
+
+
+def test_normalize_blocks_matches_normalize_adjacency():
+    from hypermux.graph import normalize_adjacency
+    rng = np.random.default_rng(21)
+    n = 7
+    upper = np.triu(rng.random((n, n)) < 0.4, 1)
+    support = upper | upper.T | np.eye(n, dtype=bool)
+    pattern = ad.SymmetricPattern(*np.nonzero(support), n)
+    mats = []
+    for _ in range(3):
+        w = np.triu(rng.uniform(0.1, 2.0, size=(n, n)), 1)
+        mats.append(np.where(upper | upper.T, w + w.T, 0.0))
+    mats[0][2, 2] = 0.7  # a self-loop weight of its own
+    mats[1][pattern.rows[0], pattern.cols[1]] = 0.0  # a zero inside the pattern
+    mats[1][pattern.cols[1], pattern.rows[0]] = 0.0
+    values = np.stack([m[pattern.rows, pattern.cols] for m in mats])
+    out = ad.normalize_blocks(values, pattern)
+    assert out.shape == values.shape
+    for j, m in enumerate(mats):
+        want = normalize_adjacency(sps.csr_matrix(m)).toarray()
+        assert np.abs(pattern.to_dense(out[j]) - want).max() < 1e-15
+
+
+def test_symmetric_pattern_validation():
+    with pytest.raises(ad.ShapeError, match="symmetric"):
+        ad.SymmetricPattern([0, 0, 1], [0, 1, 1], 2)
+    with pytest.raises(ad.ShapeError, match="diagonal"):
+        ad.SymmetricPattern([0, 1], [1, 0], 2)
+    with pytest.raises(ad.ShapeError, match="CSR order"):
+        ad.SymmetricPattern([1, 0], [1, 0], 2)
+    sym = ad.SymmetricPattern([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], 3)
+    assert sym.diag.tolist() == [0, 3, 4]
+    assert sym.mirror.tolist() == [0, 2, 1, 3, 4]
+    with pytest.raises(ad.ShapeError, match="normalize_blocks"):
+        ad.normalize_blocks(np.ones((2, 4)), sym)
+
+
+def test_scatter_nd_fills_every_block_at_once():
+    rng = np.random.default_rng(22)
+    vals = ad.leaf(rng.normal(size=(2, 3)))
+    out = ad.scatter_nd(vals, [0, 1, 2], [2, 0, 1], (2, 3, 3))
+    assert out.shape == (2, 3, 3)
+    for j in range(2):
+        want = np.zeros((3, 3))
+        want[[0, 1, 2], [2, 0, 1]] = vals.value[j]
+        assert np.array_equal(out.value[j], want)
+    seed = rng.normal(size=(2, 3, 3))
+    ad.backward(out, seed)
+    assert np.array_equal(vals.grad, seed[:, [0, 1, 2], [2, 0, 1]])
 
 
 def test_spmm_const_matches_dense():

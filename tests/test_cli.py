@@ -116,6 +116,53 @@ def test_config_unknown_key_listed(tmp_path):
         cli.resolve_config(cfg, {})
 
 
+@pytest.mark.parametrize("key", ["model.drop_tol", "model.dense_threshold"])
+def test_retired_storage_keys_exit_one(tmp_path, capsys, key):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    code = run(["train", "--graph", str(graph_dir), "--epochs", "1",
+                "--config", str(_config(tmp_path, {key: 0.25})),
+                "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+def _with_retired_keys(checkpoint, target):
+    """Copy of a checkpoint whose header also holds the retired model keys,
+    as checkpoints written before the hierarchy moved to the union pattern do."""
+    with np.load(checkpoint) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["__meta__"]).decode())
+    header["model"].update({"dense_threshold": 0.25, "drop_tol": 1e-4})
+    arrays["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(),
+                                       dtype=np.uint8).copy()
+    np.savez(target, **arrays)
+    return target
+
+
+def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    run_dir = tmp_path / "run"
+    assert run(["train", "--graph", str(graph_dir), "--embed", "6", "--epochs", "2",
+                "--out", str(run_dir)]) == 0
+    checkpoints = {"new": run_dir / "checkpoint.npz",
+                   "old": _with_retired_keys(run_dir / "checkpoint.npz",
+                                             tmp_path / "old.npz")}
+    outputs = {}
+    for tag, ckpt in checkpoints.items():
+        geo_file, metrics_file = tmp_path / f"geo_{tag}.json", tmp_path / f"m_{tag}.json"
+        assert run(["diagnose", "--checkpoint", str(ckpt), "--graph", str(graph_dir),
+                    "--out", str(geo_file)]) == 0
+        assert run(["eval", "--checkpoint", str(ckpt), "--graph", str(graph_dir),
+                    "--config", str(_config(tmp_path, {"eval.class_repeats": 1})),
+                    "--out", str(metrics_file)]) == 0
+        geo = json.loads(geo_file.read_text())
+        del geo["context"]["checkpoint"]
+        outputs[tag] = (geo, metrics_file.read_text())
+    assert outputs["old"] == outputs["new"]
+
+
 def test_config_empty_file_gives_defaults(tmp_path):
     resolved = cli.resolve_config(_config(tmp_path, {}), {})
     assert resolved["train.lr"] == 0.001

@@ -27,6 +27,31 @@ def test_twonn_recovers_line(seed):
     assert 0.9 <= geo.twonn_id(pts) <= 1.1
 
 
+def _two_neighbor_ratios_by_argsort(points):
+    """Full stable sort of every distance row: the reference the partial
+    partition in `_two_neighbor_ratios` must reproduce bit for bit."""
+    x = np.asarray(points, dtype=np.float64)
+    sq = (x * x).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2[np.arange(len(x)), np.arange(len(x))] = np.inf
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :2]
+    r = np.sqrt(np.take_along_axis(d2, idx, axis=1))
+    return r[:, 1] / r[:, 0]
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_two_neighbor_ratios_match_argsort_with_ties(chunk):
+    # integer lattice points: most points have several neighbors at the
+    # same distance, so first and second neighbors tie
+    rng = np.random.default_rng(3)
+    grid = np.stack(np.meshgrid(np.arange(6), np.arange(5), np.arange(4)), -1)
+    pts = np.unique(np.concatenate([grid.reshape(-1, 3).astype(float),
+                                    rng.integers(0, 6, size=(40, 3)) + 0.5]), axis=0)
+    mu = geo._two_neighbor_ratios(pts, chunk=chunk)
+    assert np.array_equal(mu, _two_neighbor_ratios_by_argsort(pts))
+    assert np.sum(mu == 1.0) > len(pts) // 2  # ties really occur
+
+
 def test_twonn_pareto_ratios_recover_shape():
     # mu ~ Pareto(scale 1, shape 3) synthesized by inverse CDF: the slope
     # of the trimmed fit must recover the shape parameter

@@ -16,6 +16,7 @@ is a direct edge anywhere in the input.
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings, strategies as st
 
 import hypermux.autodiff as ad
 import hypermux.manifold as mf
@@ -227,14 +228,7 @@ def test_forward_matches_per_step_public_ops():
         raw = mdl.hierarchical_aggregate([a.toarray() if sps.issparse(a) else a
                                           for a in current],
                                          layer.alpha_logits.value)
-        kept = []
-        for m in raw:
-            norm = normalize_adjacency(sps.csr_matrix(m)).toarray()
-            dense = (np.abs(norm) >= cfg.drop_tol)
-            if dense.mean() <= cfg.dense_threshold:
-                norm = np.where(dense, norm, 0.0)
-            kept.append(norm)
-        current = kept
+        current = [normalize_adjacency(sps.csr_matrix(m)).toarray() for m in raw]
     assert np.abs(ad.val(result.z) - h).max() < 1e-9
 
 
@@ -270,17 +264,87 @@ def test_forward_rejects_mismatched_params():
         mdl.forward(g, g.features, params, cfg)
 
 
-def test_sparse_storage_path_drops_small_entries():
+def union_support(graph):
+    support = np.eye(graph.n_nodes, dtype=bool)
+    for a in graph.dims:
+        support |= a.toarray() != 0
+    return support
+
+
+def test_level_support_equals_union_pattern():
+    g = random_graph(seed=14, n=40, d=4, f=3)
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.EUCLIDEAN)
+    params = mdl.init_params(4, 3, cfg, seed=5)
     rng = np.random.default_rng(14)
-    g = random_graph(seed=14, n=40, d=2, f=3)
-    cfg = mdl.ModelConfig(n_layers=1, embed_size=4, manifold=mf.EUCLIDEAN,
-                          dense_threshold=0.9, drop_tol=1e-4)
-    params = mdl.init_params(2, 3, cfg, seed=5)
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
-    level = hier.levels[1]
-    assert level.mode == "sparse"
-    values = ad.val(level.values)
-    assert values.size and np.abs(values).min() >= cfg.drop_tol
+    for layer in params.layers:
+        layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g, cfg), params, cfg)
+    union = hier.levels[0].union
+    support = union_support(g)
+    assert np.array_equal(union.to_dense(np.ones((1, union.nnz)))[0] != 0, support)
+    for l, level in enumerate(hier.levels[1:]):
+        normalized = union.to_dense(ad.val(level.values))
+        raw = np.stack(hier.raw_matrices(l))
+        assert raw.shape == normalized.shape == (level.n_blocks, 40, 40)
+        for block in (*raw, *normalized):
+            assert np.array_equal(block != 0, support)
+
+
+def sparse_ring_graph(n, d, seed):
+    """d dimensions, each one random ring over the n nodes (degree 2)."""
+    rng = np.random.default_rng(seed)
+    dims = []
+    for _ in range(d):
+        order = rng.permutation(n)
+        dims.append(csr_from_edges(n, zip(order, np.roll(order, 1))))
+    return MultiplexGraph(n, dims, rng.normal(size=(n, 3))).validate()
+
+
+@pytest.mark.parametrize("graph, mode", [
+    (sparse_ring_graph(40, 3, seed=0), "sparse"),  # union density <= 7/40
+    (random_graph(seed=15, n=20, d=3, f=3), "dense"),
+], ids=["sparse", "dense"])
+def test_storage_mode_follows_union_density(graph, mode):
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.EUCLIDEAN)
+    level0 = mdl.prepare_adjacencies(graph, cfg)
+    density = union_support(graph).mean()
+    assert level0.union.density == pytest.approx(density)
+    assert (density > mdl.DENSE_UNION_DENSITY) == (mode == "dense")
+    assert level0.union.mode == mode
+    params = mdl.init_params(graph.n_dims, 3, cfg, seed=6)
+    hier = mdl.build_hierarchy(level0, params, cfg)
+    assert [lv.mode for lv in hier.levels] == ["const", mode, mode]
+    # the stacked patterns were built with level 0, not by the first epoch
+    assert (sorted(level0.union._stacked) == [1, 2]) == (mode == "sparse")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_dense_oracle_support_stays_inside_union(seed):
+    # the dense per-step ops know nothing of the union pattern
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+    dims = []
+    for _ in range(d):
+        a = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1).astype(float)
+        dims.append(sps.csr_matrix(a + a.T))
+    g = MultiplexGraph(n, dims, rng.normal(size=(n, 2))).validate()
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=3, manifold=mf.EUCLIDEAN)
+    params = mdl.init_params(d, 2, cfg, seed=0)
+    for layer in params.layers:
+        layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g, cfg), params, cfg)
+    support = union_support(g)
+    current = [normalize_adjacency(a).toarray() for a in g.dims]
+    for l, layer in enumerate(params.layers):
+        raw = mdl.hierarchical_aggregate(current, layer.alpha_logits.value)
+        current = [normalize_adjacency(sps.csr_matrix(m)).toarray() for m in raw]
+        for m in (*raw, *current):
+            assert not np.any(m[~support])
+        assert np.abs(np.stack(raw) - np.stack(hier.raw_matrices(l))).max() < 1e-12
+        level = hier.levels[l + 1]
+        got = level.union.to_dense(ad.val(level.values))
+        assert np.abs(np.stack(current) - got).max() < 1e-12
 
 
 # --- latent hierarchy fixture (documented above) ----------------------------

@@ -236,6 +236,48 @@ def test_end_to_end_gradcheck_all_parameter_groups():
     assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=80) < 1e-4
 
 
+def test_end_to_end_gradcheck_sparse_levels():
+    # a union density below the dense cut sends layer 2 through `spmm`
+    # on the stacked pattern, the path every large sparse graph takes
+    # irregular degrees: on regular graphs every normalized row sums to 1
+    # for every dimension, and alpha's softmax hides the degree adjoint
+    rng = np.random.default_rng(3)
+    n = 40
+    dims = []
+    for _ in range(3):
+        a = np.triu(rng.random((n, n)) < 0.05, 1).astype(float)
+        dims.append(sps.csr_matrix(a + a.T))
+    graph = MultiplexGraph(n, dims, rng.normal(size=(n, 3))).validate()
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
+    level0 = mdl.prepare_adjacencies(graph, cfg)
+    assert level0.union.density < mdl.DENSE_UNION_DENSITY
+    params = mdl.init_params(graph.n_dims, graph.n_features, cfg, seed=0)
+    rng_logits = np.random.default_rng(4)
+    for layer in params.layers:  # off-uniform, so alpha's adjoint is generic
+        layer.alpha_logits.value[:] = rng_logits.normal(size=layer.alpha_logits.shape)
+    x = graph.features
+    x_hat = corrupt_features(x, 7)
+    inputs = {name: t.value.copy() for name, t in params.named()}
+    inputs["Q"] = np.eye(4)
+    sched = mdl.resolve_dim_schedule(graph.n_dims, cfg.n_layers)
+
+    def build(leaves):
+        layers = [mdl.LayerParams([leaves[f"layer{l}.W{d}"] for d in range(sched[l - 1])],
+                                  leaves[f"layer{l}.alpha"], leaves[f"layer{l}.beta"])
+                  for l in range(1, cfg.n_layers + 1)]
+        p = mdl.ModelParams(layers)
+        hier = mdl.build_hierarchy(level0, p, cfg)
+        assert [lv.mode for lv in hier.levels] == ["const", "sparse", "sparse"]
+        z, _, _ = mdl.propagate(hier, x, p, cfg)
+        zh, _, _ = mdl.propagate(hier, x_hat, p, cfg)
+        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"], kind=cfg.manifold))
+
+    # every coordinate: the few alpha ones reach the loss only through
+    # the sparse level's values, so sampling could miss them
+    n_coords = sum(v.size for v in inputs.values())
+    assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=n_coords) < 1e-4
+
+
 def test_history_csv_format(tmp_path):
     rows = [tr.HistoryRow(1, -0.5, 2.25, 3), tr.HistoryRow(2, -0.75)]
     path = tmp_path / "history.csv"
