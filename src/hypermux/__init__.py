@@ -5,9 +5,8 @@ from .graph import (MultiplexGraph, corrupt_features, load_multiplex,
 from .manifold import (EUCLIDEAN, LORENTZ, POINCARE, fermi_dirac_score, lift,
                        lorentz_exp0, lorentz_log0, minkowski_inner, mobius_add,
                        poincare_exp0, poincare_log0, to_euclidean)
-from .model import (ModelConfig, MODEL_VARIANTS, forward, hierarchical_aggregate,
-                    hyperbolic_gcn_layer, init_params, load_checkpoint,
-                    save_checkpoint)
+from .model import (ModelConfig, MODEL_VARIANTS, forward, init_params,
+                    load_checkpoint, save_checkpoint)
 from .synthetic import GenParams, assign_clusters, generate, sweep_specs
 from .training import TrainConfig, dgi_objective, discriminate, readout, train
 from .geometry import GeoReport, curvature_gap, linear_id, sweep, twonn_id

@@ -539,19 +539,6 @@ def reshape(a, shape):
     return _node(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def take_row(a, i):
-    """Row i of a 2-d array, kept 2-d with shape (1, K)."""
-    if not is_tensor(a):
-        return val(a)[i:i + 1, :]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[i:i + 1, :] = g
-        return (out,)
-
-    return _node(a.value[i:i + 1, :], (a,), vjp)
-
-
 def slice_cols(a, start, stop):
     if not is_tensor(a):
         return val(a)[:, start:stop]
@@ -562,37 +549,6 @@ def slice_cols(a, start, stop):
         return (out,)
 
     return _node(a.value[:, start:stop], (a,), vjp)
-
-
-def slice_rows(a, start, stop):
-    if not is_tensor(a):
-        return val(a)[start:stop]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[start:stop] = g
-        return (out,)
-
-    return _node(a.value[start:stop], (a,), vjp)
-
-
-def block_transpose(a, block):
-    """Transpose each (block x block) slab of a vertically stacked matrix.
-
-    Input shape (k*block, block); the op is an entry permutation and an
-    involution, so its adjoint is itself.
-    """
-
-    def f(v):
-        return v.reshape(-1, block, block).transpose(0, 2, 1).reshape(-1, block)
-
-    arr = val(a)
-    if arr.ndim != 2 or arr.shape[1] != block or arr.shape[0] % block:
-        raise ShapeError(f"block_transpose: shape {arr.shape} not a stack of "
-                         f"({block}, {block}) blocks")
-    if not is_tensor(a):
-        return f(arr)
-    return _node(f(a.value), (a,), lambda g: (f(g),))
 
 
 def block_matmul(x, weights, block):

@@ -23,10 +23,11 @@ from statistics import median
 from . import evaluate as ev
 from . import geometry as geo
 from . import model as mdl
-from .graph import GraphFormatError, load_multiplex, save_multiplex
-from .manifold import MANIFOLDS
-from .synthetic import GenConfigError, GenParams, generate, sweep_specs
-from .training import TrainConfig, derive_seed, train, write_history_csv
+from .autodiff import val
+from .graph import GraphFormatError, derive_seed, load_multiplex, save_multiplex
+from .manifold import MANIFOLDS, to_euclidean
+from .synthetic import GenConfigError, GenParams, generate, resolve_params, sweep_specs
+from .training import TrainConfig, TrainConfigError, train, write_history_csv
 
 
 class ConfigError(ValueError):
@@ -157,6 +158,29 @@ def _write_embeddings_csv(path, z_tangent):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def _write_csv(path, header, rows):
+    """One line per row dict, fields in `header` order: None as an empty
+    field, floats as %.8g, anything else through str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if row[k] is None else
+                              f"{row[k]:.8g}" if isinstance(row[k], float) else str(row[k])
+                              for k in header) + "\n")
+
+
+def _embed_checkpoint(checkpoint, graph):
+    """(model config, Z, Z in tangent coordinates) of a checkpoint on a graph."""
+    params, _, model_config, _ = mdl.load_checkpoint(checkpoint)
+    z = mdl.forward(graph, graph.features, params, model_config).z
+    return model_config, val(z), val(to_euclidean(z, model_config.manifold))
+
+
+def _check_seeds(n):
+    if n < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,13 +200,6 @@ def _cmd_generate(args):
     return 0
 
 
-def _run_training(resolved, graph_dir):
-    graph = load_multiplex(graph_dir)
-    model_config = _model_config(resolved)
-    outcome = train(graph, model_config, _train_config(resolved))
-    return graph, model_config, outcome
-
-
 def _cmd_train(args):
     resolved = resolve_config(args.config, {
         "model.manifold": args.manifold, "model.layers": args.layers,
@@ -192,7 +209,8 @@ def _cmd_train(args):
     })
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, model_config, outcome = _run_training(resolved, args.graph)
+    model_config = _model_config(resolved)
+    outcome = train(load_multiplex(args.graph), model_config, _train_config(resolved))
     mdl.save_checkpoint(out / "checkpoint.npz", outcome.params,
                         outcome.discriminator, model_config,
                         meta={"seed": resolved["seed"],
@@ -211,18 +229,9 @@ def _cmd_train(args):
     return 0
 
 
-def _embeddings_for_checkpoint(checkpoint, graph_dir):
-    params, q, model_config, _ = mdl.load_checkpoint(checkpoint)
-    graph = load_multiplex(graph_dir)
-    result = mdl.forward(graph, graph.features, params, model_config)
-    from .autodiff import val
-    from .manifold import to_euclidean
-    return graph, model_config, val(result.z), val(to_euclidean(result.z, model_config.manifold))
-
-
 def _cmd_diagnose(args):
     resolved = resolve_config(args.config, {"seed": args.seed})
-    graph, model_config, _, z_tan = _embeddings_for_checkpoint(args.checkpoint, args.graph)
+    model_config, _, z_tan = _embed_checkpoint(args.checkpoint, load_multiplex(args.graph))
     report = geo.curvature_gap(z_tan, context={
         "checkpoint": str(args.checkpoint), "seed": resolved["seed"],
         "model": model_config.manifold})
@@ -245,13 +254,7 @@ def _cmd_eval(args):
     ratio = float(resolved["eval.test_ratio"])
     split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=int(resolved["seed"]))
     if args.checkpoint:
-        from .autodiff import val
-        from .manifold import to_euclidean
-        params, _, model_config, _ = mdl.load_checkpoint(args.checkpoint)
-        result = mdl.forward(split.train_graph, split.train_graph.features,
-                             params, model_config)
-        z = val(result.z)
-        z_tan = val(to_euclidean(result.z, model_config.manifold))
+        model_config, z, z_tan = _embed_checkpoint(args.checkpoint, split.train_graph)
     else:
         model_config = _model_config(resolved)
         outcome = train(split.train_graph, model_config, _train_config(resolved))
@@ -274,14 +277,8 @@ def _cmd_eval(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(json.dumps(l, sort_keys=True) for l in lines) + "\n")
-    csv_path = out.with_suffix(".csv")
-    with open(csv_path, "w") as fh:
-        fh.write("task,auc,ap,f1_macro,f1_micro,seed,config_hash\n")
-        for l in lines:
-            fh.write(",".join("" if l[k] is None else
-                              (f"{l[k]:.8g}" if isinstance(l[k], float) else str(l[k]))
-                              for k in ["task", "auc", "ap", "f1_macro", "f1_micro",
-                                        "seed", "config_hash"]) + "\n")
+    _write_csv(out.with_suffix(".csv"),
+               ["task", "auc", "ap", "f1_macro", "f1_micro", "seed", "config_hash"], lines)
     _write_resolved(resolved, out)
     for l in lines:
         print(json.dumps(l, sort_keys=True))
@@ -289,13 +286,16 @@ def _cmd_eval(args):
 
 
 def _parse_d_range(text):
+    try:
+        parts = [int(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ConfigError(f"bad D values {text!r}; use integers") from None
     if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"bad D range {text!r}; use start:stop:step")
+        if len(parts) != 3 or parts[2] < 1:
+            raise ConfigError(f"bad D range {text!r}; use start:stop:step with step >= 1")
         start, stop, step = parts
         return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",")]
+    return parts
 
 
 def _cmd_sweep(args):
@@ -303,9 +303,13 @@ def _cmd_sweep(args):
         "gen.n_nodes": args.n, "gen.n_clusters": args.k,
         "train.epochs": args.epochs, "seed": args.seed,
     })
+    _check_seeds(args.seeds)
+    TrainConfig(max_epochs=int(resolved["train.epochs"])).validate()
     d_values = _parse_d_range(args.d)
     base = _gen_params(resolved)
     specs = sweep_specs(base, d_values)
+    for spec in specs:  # reject infeasible generator settings before any run
+        resolve_params(spec)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     for m in models:
         if m not in mdl.MODEL_VARIANTS:
@@ -333,6 +337,7 @@ def _cmd_ablate(args):
     resolved = resolve_config(args.config, {
         "train.epochs": args.epochs, "seed": args.seed,
     })
+    _check_seeds(args.seeds)
     graph = load_multiplex(args.graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,7 +355,7 @@ def _cmd_ablate(args):
                 outcome.z_final, split, kind=config.manifold,
                 r=float(resolved["eval.r"]), t=float(resolved["eval.t"]))
             row = {"variant": variant, "seed": s, "auc": auc, "ap": ap,
-                   "f1_macro": "", "f1_micro": "",
+                   "f1_macro": None, "f1_micro": None,
                    "loss_final": outcome.final_loss}
             if graph.labels is not None:
                 cls = ev.classification_eval(
@@ -359,13 +364,8 @@ def _cmd_ablate(args):
                 row["f1_macro"] = cls["f1_macro"]
                 row["f1_micro"] = cls["f1_micro"]
             rows.append(row)
-    with open(out / "ablation.csv", "w") as fh:
-        fh.write("variant,seed,auc,ap,f1_macro,f1_micro,loss_final\n")
-        for r in rows:
-            fh.write(",".join(
-                f"{r[k]:.8g}" if isinstance(r[k], float) else str(r[k])
-                for k in ["variant", "seed", "auc", "ap", "f1_macro", "f1_micro",
-                          "loss_final"]) + "\n")
+    _write_csv(out / "ablation.csv", ["variant", "seed", "auc", "ap", "f1_macro",
+                                      "f1_micro", "loss_final"], rows)
     summary = {}
     for variant in ABLATION_VARIANTS:
         aucs = [r["auc"] for r in rows if r["variant"] == variant]
@@ -466,7 +466,7 @@ def dispatch(argv):
         parser.print_usage(sys.stderr)
         return 1
     except (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
-            mdl.ModelConfigError) as exc:
+            mdl.ModelConfigError, TrainConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary, fail with code 2

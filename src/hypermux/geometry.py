@@ -144,8 +144,7 @@ class SweepRow:
     loss_final: float
 
 
-def sweep(specs, models, seeds, embed_size=64, max_epochs=150, workers=1,
-          on_result=None):
+def sweep(specs, models, seeds, embed_size=64, max_epochs=150, workers=1):
     """Generate, train, and measure the end-of-training gap per run.
 
     `specs` are generator parameter sets (one per D), `models` are
@@ -184,8 +183,6 @@ def sweep(specs, models, seeds, embed_size=64, max_epochs=150, workers=1,
                              "error": err})
             continue
         rows.append(row)
-        if on_result:
-            on_result(row)
     return rows, failures
 
 

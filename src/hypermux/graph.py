@@ -91,12 +91,10 @@ def normalize_adjacency(a):
     return (scale @ with_loops @ scale).tocsr()
 
 
-def normalize_dense(a):
-    """Dense-array variant of `normalize_adjacency` (same formula)."""
-    a = np.asarray(a, dtype=np.float64)
-    with_loops = a + np.eye(a.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return with_loops * inv_sqrt[:, None] * inv_sqrt[None, :]
+def derive_seed(*keys):
+    """A 64-bit seed mixed from integer keys (a run seed plus stream tags)."""
+    keys = [int(k) & (2**63 - 1) for k in keys]
+    return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
 def corrupt_features(x, seed):

@@ -212,11 +212,6 @@ def to_euclidean(z, kind):
     return ad.slice_cols(lorentz_log0(z), 1, None)
 
 
-def unlift(z, kind):
-    """Alias of `to_euclidean` kept next to `lift` for symmetry."""
-    return to_euclidean(z, kind)
-
-
 # ---------------------------------------------------------------------------
 # Fermi-Dirac edge decoder
 

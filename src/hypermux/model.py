@@ -261,71 +261,6 @@ def prepare_adjacencies(graph, config: ModelConfig | None = None):
 
 
 # ---------------------------------------------------------------------------
-# single-step public ops
-
-
-def hyperbolic_gcn_layer(h, a_hat, w, kind=mf.LORENTZ, slope=0.01):
-    """One propagation step: exp0( leaky_relu( A . log0(H) . W ) ).
-
-    With the euclidean manifold this is exactly the classic GCN rule.
-    `a_hat` is a normalized adjacency (csr, dense array, or Tensor).
-    """
-    mf.check_manifold(kind)
-    tangent = mf.to_euclidean(h, kind)
-    tw = ad.matmul(tangent, w)
-    if sps.issparse(a_hat):
-        a_hat = a_hat.tocsr()
-        msg = ad.spmm_const(a_hat, a_hat.T.tocsr(), tw)
-    else:
-        msg = ad.matmul(a_hat, tw)
-    return mf.lift(ad.leaky_relu(msg, slope), kind)
-
-
-def consensus(per_dim, beta_logits, kind=mf.LORENTZ):
-    """Softmax-weighted combination of per-dimension node states.
-
-    Taken in tangent coordinates at the base point and mapped back,
-    which coincides with the plain weighted sum in the euclidean case.
-    """
-    if len(per_dim) == 0:
-        raise ModelConfigError("consensus needs at least one input")
-    logits = ad.reshape(beta_logits, (1, len(per_dim))) if ad.is_tensor(beta_logits) \
-        else np.asarray(beta_logits, dtype=np.float64).reshape(1, -1)
-    if val(logits).size != len(per_dim):
-        raise ad.ShapeError(f"consensus: {len(per_dim)} inputs but "
-                            f"{val(logits).size} logits")
-    weights = ad.softmax(logits, axis=-1)
-    acc = None
-    for d, h in enumerate(per_dim):
-        term = ad.mul(ad.slice_cols(weights, d, d + 1), mf.to_euclidean(h, kind))
-        acc = term if acc is None else ad.add(acc, term)
-    return mf.lift(acc, kind)
-
-
-def hierarchical_aggregate(adjacencies, alpha_logits):
-    """Combine D_in adjacency matrices into D_out latent ones (pre-norm).
-
-    Returns the phi(sum_i alpha_ij A_i) matrices with alpha the row
-    softmax of the logits; callers re-normalize before propagating.
-    """
-    mats = [a.toarray() if sps.issparse(a) else a for a in adjacencies]
-    n = val(mats[0]).shape[0]
-    logits_v = val(alpha_logits)
-    if logits_v.ndim != 2 or logits_v.shape[1] != len(mats):
-        raise ad.ShapeError(
-            f"aggregation logits shape {logits_v.shape} incompatible with "
-            f"{len(mats)} input matrices")
-    rows = [ad.reshape(m, (1, n * n)) for m in mats]
-    stacked = ad.concat(rows, axis=0) if any(ad.is_tensor(r) for r in rows) \
-        else np.concatenate(rows, axis=0)
-    out_flat = ad.relu(ad.matmul(ad.softmax(alpha_logits, axis=-1), stacked))
-    if ad.is_tensor(out_flat):
-        return [ad.reshape(ad.take_row(out_flat, j), (n, n))
-                for j in range(logits_v.shape[0])]
-    return [out_flat[j].reshape(n, n) for j in range(logits_v.shape[0])]
-
-
-# ---------------------------------------------------------------------------
 # full forward pass
 
 
@@ -401,13 +336,9 @@ class ForwardResult:
     lorentz_violation: float
 
 
-def forward(graph_or_level, x, params: ModelParams, config: ModelConfig):
+def forward(graph, x, params: ModelParams, config: ModelConfig):
     """Full multilayer pass: embeddings plus the latent adjacency hierarchy."""
-    if isinstance(graph_or_level, StackedAdjacency):
-        level0 = graph_or_level
-    else:
-        level0 = prepare_adjacencies(graph_or_level, config)
-    hierarchy = build_hierarchy(level0, params, config)
+    hierarchy = build_hierarchy(prepare_adjacencies(graph, config), params, config)
     z, dev, violation = propagate(hierarchy, x, params, config)
     return ForwardResult(z, hierarchy, max(dev, hierarchy.softmax_dev), violation)
 

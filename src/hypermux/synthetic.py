@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import MultiplexGraph, _edges_to_csr, degree_features
+from .graph import MultiplexGraph, _edges_to_csr, degree_features, derive_seed
 
 P_IN_RANGE = (0.1, 0.2)
 P_OUT_RANGE = (0.01, 0.02)
@@ -52,18 +52,13 @@ class GenParams:
     seed: int = 0
 
 
-def _derive_seed(*keys):
-    keys = [int(k) & (2**63 - 1) for k in keys]
-    return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
-
-
 def resolve_params(params: GenParams, rng=None):
     """Fill in defaults, draw per-graph probabilities, validate invariants.
 
     Returns a dict echoing every resolved value (written next to
     generated graphs so a run is reproducible from the echo alone).
     """
-    rng = rng or np.random.default_rng(_derive_seed(params.seed, 0xA11CE))
+    rng = rng or np.random.default_rng(derive_seed(params.seed, 0xA11CE))
     n, k, d = params.n_nodes, params.n_clusters, params.n_dims
     if n < 1 or k < 1 or d < 1:
         raise GenConfigError("n_nodes, n_clusters and n_dims must be >= 1")
@@ -107,7 +102,7 @@ def _cluster_sizes(n, k, lo, hi, rng):
 def assign_clusters(params: GenParams):
     """Seed-deterministic node -> cluster assignment honoring the size range."""
     resolved = resolve_params(params)
-    rng = np.random.default_rng(_derive_seed(params.seed, 1))
+    rng = np.random.default_rng(derive_seed(params.seed, 1))
     lo, hi = resolved["cluster_size_range"]
     sizes = _cluster_sizes(resolved["n_nodes"], resolved["n_clusters"], lo, hi, rng)
     order = rng.permutation(resolved["n_nodes"])
@@ -139,7 +134,7 @@ def generate(params: GenParams) -> GenResult:
     sf_lo, sf_hi = resolved["sf_range"]
 
     labels = assign_clusters(params)
-    rng = np.random.default_rng(_derive_seed(params.seed, 2))
+    rng = np.random.default_rng(derive_seed(params.seed, 2))
 
     edge_sets = [set() for _ in range(d)]
 
@@ -199,7 +194,7 @@ def sweep_specs(base: GenParams, d_values):
     for d in d_values:
         kwargs = asdict(base)
         kwargs["n_dims"] = int(d)
-        kwargs["seed"] = _derive_seed(base.seed, 3, d)
+        kwargs["seed"] = derive_seed(base.seed, 3, d)
         if base.sf_range is None:
             kwargs["sf_range"] = None  # re-resolve against the new D
         specs.append(GenParams(**kwargs))

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import manifold as mf
 from . import model as mdl
 from .autodiff import Tensor, val
-from .graph import corrupt_features
+from .graph import corrupt_features, derive_seed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -29,6 +29,10 @@ LOG_FLOOR = 1e-12
 
 
 class TrainingError(RuntimeError):
+    pass
+
+
+class TrainConfigError(ValueError):
     pass
 
 
@@ -44,13 +48,8 @@ class TrainConfig:
 
     def validate(self):
         if self.learning_rate <= 0 or self.patience < 1 or self.max_epochs < 1:
-            raise TrainingError("need lr > 0, patience >= 1, max_epochs >= 1")
+            raise TrainConfigError("need lr > 0, patience >= 1, max_epochs >= 1")
         return self
-
-
-def derive_seed(*keys):
-    keys = [int(k) & (2**63 - 1) for k in keys]
-    return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,6 @@ class Adam:
             m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
             v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
             tensor.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def adam_step(params, grads, state: Adam):
-    """Functional wrapper around `Adam.step` for a prebuilt state."""
-    state.step({name: grads[name] for name, _ in params})
-    return state
 
 
 # ---------------------------------------------------------------------------

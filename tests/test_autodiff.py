@@ -68,9 +68,7 @@ PRIMITIVE_PROBES = {
                   {"a": _mat((3, 4))}),
     "reshape": (lambda v: ad.tsum(ad.mul(ad.reshape(v["a"], (2, 6)), v["b"])),
                 {"a": _mat((3, 4)), "b": _mat((2, 6))}),
-    "take_row": (lambda v: ad.tsum(ad.take_row(v["a"], 1)), {"a": _mat((3, 4))}),
     "slice_cols": (lambda v: ad.tsum(ad.slice_cols(v["a"], 1, 3)), {"a": _mat((3, 4))}),
-    "slice_rows": (lambda v: ad.tsum(ad.slice_rows(v["a"], 1, 3)), {"a": _mat((4, 3))}),
     "gather_nd": (lambda v: ad.tsum(ad.gather_nd(v["a"], [0, 1, 2], [1, 0, 2])),
                   {"a": _mat((3, 4))}),
     "scatter_nd": (lambda v, _w=_mat((3, 4)): ad.tsum(ad.mul(
@@ -78,9 +76,6 @@ PRIMITIVE_PROBES = {
         {"vals": _mat((3,))}),
     "spmm": (lambda v: ad.tsum(ad.spmm(PAT, v["vals"], v["x"])),
              {"vals": _mat((5,)), "x": _mat((3, 2))}),
-    "block_transpose": (lambda v, _w=_mat((6, 3)): ad.tsum(ad.mul(
-        ad.block_transpose(v["a"], 3), _w)),
-        {"a": _mat((6, 3))}),
     "block_matmul": (lambda v: ad.tsum(ad.block_matmul(v["x"], [v["w0"], v["w1"]], 3)),
                      {"x": _mat((6, 4)), "w0": _mat((4, 2)), "w1": _mat((4, 2))}),
     "block_weighted_sum": (lambda v: ad.tsum(ad.block_weighted_sum(v["x"], v["c"], 3)),

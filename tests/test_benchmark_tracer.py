@@ -1,0 +1,52 @@
+"""The benchmark's tracer (benchmarks/tracing.py) must still install on the
+package: it looks up every function it wraps by name and raises on a missing
+one, so a deletion that breaks `benchmarks/run.py --trace 1` fails here."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import hypermux
+import hypermux.autodiff as ad
+import hypermux.cli  # noqa: F401 - the tracer wraps names in every module
+import hypermux.geometry  # noqa: F401
+from hypermux import model as mdl, training as tr
+from hypermux.synthetic import GenParams, generate
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _state(mods, owners):
+    attrs = {(name, attr): obj for name, mod in mods.items()
+             for attr, obj in vars(mod).items()}
+    methods = {(cls, attr): cls.__dict__[attr] for cls, attr in owners}
+    return attrs, methods
+
+
+def test_tracer_installs_records_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
+    tracing = importlib.import_module("tracing")
+    mods = {name: getattr(hypermux, name) for name in tracing.MODULES}
+    mods["hypermux"] = hypermux
+    owners = [(tr.Adam, "step"), (mdl.StackedAdjacency, "matmul")]
+    before = _state(mods, owners)
+
+    g = generate(GenParams(n_nodes=20, n_clusters=2, n_dims=3, seed=1)).graph
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4)
+    params = mdl.init_params(g.n_dims, g.n_features, cfg, seed=0)
+    tracer = tracing.Tracer(mods).install()
+    try:
+        assert ad.gather_nd is not before[0][("autodiff", "gather_nd")]
+        z = mdl.forward(g, g.features, params, cfg).z
+        ad.backward(ad.tsum(ad.mul(z, z)))
+    finally:
+        tracer.restore()
+
+    names = {span[0] for span in tracer.spans}
+    assert {"model.forward", "model.build_hierarchy", "model.propagate",
+            "autodiff.backward", "autodiff.spmm_const", "autodiff.block_matmul.vjp"} <= names
+    after = _state(mods, owners)
+    assert after[0].keys() == before[0].keys()
+    assert all(after[0][k] is obj for k, obj in before[0].items())
+    assert all(after[1][k] is obj for k, obj in before[1].items())

@@ -233,3 +233,64 @@ def test_byte_identical_reruns(tmp_path):
                     "--out", str(out)]) == 0
         outputs.append((out / "history.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --d a,b --n 30 --k 2 --out {out}.csv",
+    "sweep --d 5:40:0 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 40:5:5 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 0,2 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 2 --seeds 0 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 2 --epochs 0 --n 30 --k 2 --out {out}.csv",
+    "train --graph {g} --epochs 0 --out {out}",
+    "train --graph {g} --lr -1 --out {out}",
+    "ablate --graph {g} --seeds 0 --out {out}",
+], ids=["d-not-int", "d-step-0", "d-empty", "d-zero", "sweep-seeds-0", "sweep-epochs-0",
+        "train-epochs-0", "train-lr-negative", "ablate-seeds-0"])
+def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    capsys.readouterr()
+    assert run(argv.format(g=graph_dir, out=tmp_path / "out").split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _is_8g(field):
+    return field == f"{float(field):.8g}"
+
+
+def test_metrics_and_ablation_csv_rows(tmp_path):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir, n=50, seed=3))
+    metrics = tmp_path / "metrics.json"
+    cfg = _config(tmp_path, {"train.epochs": 2, "model.embed": 4,
+                             "eval.class_repeats": 1})
+    assert run(["eval", "--graph", str(graph_dir), "--seed", "2", "--config", str(cfg),
+                "--out", str(metrics)]) == 0
+    payload = [json.loads(l) for l in metrics.read_text().splitlines()]
+    header, *rows = _csv_rows(tmp_path / "metrics.csv")
+    assert header == ["task", "auc", "ap", "f1_macro", "f1_micro", "seed", "config_hash"]
+    assert [r[0] for r in rows] == ["link_prediction", "classification"]
+    for row, line in zip(rows, payload):
+        for key, field in zip(header, row):
+            value = line[key]
+            assert field == ("" if value is None else
+                             f"{value:.8g}" if isinstance(value, float) else str(value))
+    assert rows[0][3:5] == ["", ""] and rows[1][1:3] == ["", ""]
+
+    (graph_dir / "labels.csv").unlink()
+    out = tmp_path / "ablation"
+    assert run(["ablate", "--graph", str(graph_dir), "--seeds", "1", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    header, *rows = _csv_rows(out / "ablation.csv")
+    assert header == ["variant", "seed", "auc", "ap", "f1_macro", "f1_micro", "loss_final"]
+    assert len(rows) == 4
+    for variant, seed, auc, ap, f1_macro, f1_micro, loss in rows:
+        assert seed == "0" and f1_macro == f1_micro == ""
+        assert all(_is_8g(f) for f in (auc, ap, loss))
