@@ -9,7 +9,11 @@ adjoints. `backward` replays the closures in reverse topological order.
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
 values living on a fixed sparsity pattern (`SparsePattern` + `spmm`, and
-`SymmetricPattern` + `normalize_blocks` for degree normalization).
+`SymmetricPattern` + `normalize_blocks` for degree normalization). The
+adjoint of a sparse product w.r.t. its dense operand multiplies by the
+CSC view `.T` of the CSR matrix, so no pattern sorts its transpose;
+scipy sums each output row's terms in the same ascending order as a
+sorted CSR transpose would, so the result is the same to the bit.
 
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
@@ -236,11 +240,6 @@ class SparsePattern:
         self._indices = self.cols[order].astype(np.int32)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows, minlength=n), out=self._indptr[1:])
-        order_t = np.argsort(self.cols * n + self.rows, kind="stable")
-        self._perm_t = order_t
-        self._indices_t = self.rows[order_t].astype(np.int32)
-        self._indptr_t = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.cols, minlength=m), out=self._indptr_t[1:])
 
     @property
     def nnz(self):
@@ -249,10 +248,6 @@ class SparsePattern:
     def csr(self, values):
         return sps.csr_matrix((values[self._perm], self._indices, self._indptr),
                               shape=self.shape)
-
-    def csr_t(self, values):
-        return sps.csr_matrix((values[self._perm_t], self._indices_t, self._indptr_t),
-                              shape=(self.shape[1], self.shape[0]))
 
     def to_dense(self, values):
         out = np.zeros(self.shape)
@@ -273,7 +268,7 @@ class SymmetricPattern(SparsePattern):
         if np.any(np.diff(self._flat) <= 0):
             raise ShapeError("SymmetricPattern: entries must be in CSR order, no repeats")
         # the transpose's CSR order lists the mirror images of the entries
-        self.mirror = self._perm_t
+        self.mirror = np.argsort(self.cols * n + self.rows, kind="stable")
         if not (np.array_equal(self.rows[self.mirror], self.cols)
                 and np.array_equal(self.cols[self.mirror], self.rows)):
             raise ShapeError("SymmetricPattern: pattern is not symmetric")
@@ -286,8 +281,9 @@ class SymmetricPattern(SparsePattern):
 def spmm_const(mat, mat_t, x):
     """Sparse @ dense with a constant sparse operand.
 
-    `mat_t` is the precomputed CSR transpose (pass `mat` itself when the
-    matrix is symmetric). Gradient flows to the dense operand only.
+    `mat_t` is the transpose, for the adjoint: `mat.T` (for a CSR `mat`
+    the CSC view, built without a sort), or `mat` itself when the matrix
+    is symmetric. Gradient flows to the dense operand only.
     """
     if not is_tensor(x):
         return mat @ val(x)
@@ -308,7 +304,8 @@ def spmm(pattern, values, x):
         raise ShapeError(f"spmm: values shape {values.value.shape} != ({pattern.nnz},)")
     if pattern.shape[1] != x.value.shape[0]:
         raise ShapeError(f"spmm: {pattern.shape} @ {x.value.shape}")
-    y = pattern.csr(values.value) @ x.value
+    mat = pattern.csr(values.value)
+    y = mat @ x.value
     nv, nx = values.requires_grad, x.requires_grad
     dense_adjoint = pattern.nnz * 20 > pattern.shape[0] * pattern.shape[1]
 
@@ -319,7 +316,7 @@ def spmm(pattern, values, x):
                 gv = np.take((g @ x.value.T).ravel(), pattern._flat)
             else:
                 gv = np.einsum("ij,ij->i", g[pattern.rows], x.value[pattern.cols])
-        gx = pattern.csr_t(values.value) @ g if nx else None
+        gx = mat.T @ g if nx else None  # the CSC view: no transpose is sorted
         return gv, gx
 
     return _node(y, (values, x), vjp)

@@ -360,7 +360,8 @@ def _cmd_ablate(args):
             if graph.labels is not None:
                 cls = ev.classification_eval(
                     outcome.z_tangent, graph.labels, seed=run_seed,
-                    n_repeats=int(resolved["eval.class_repeats"]))
+                    n_repeats=int(resolved["eval.class_repeats"]),
+                    l2=float(resolved["eval.logreg_l2"]))
                 row["f1_macro"] = cls["f1_macro"]
                 row["f1_micro"] = cls["f1_micro"]
             rows.append(row)

@@ -123,11 +123,90 @@ def _edges_to_csr(n, pairs):
         return sps.csr_matrix((n, n))
     rows = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
     cols = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    return _symmetric_csr(n, rows, cols)
+
+
+def _symmetric_csr(n, rows, cols):
+    """{0,1} symmetric N x N CSR with the undirected edges (rows[k], cols[k])."""
     both_r = np.concatenate([rows, cols])
     both_c = np.concatenate([cols, rows])
     mat = sps.csr_matrix((np.ones(both_r.size), (both_r, both_c)), shape=(n, n))
     mat.data[:] = 1.0  # duplicate lines and mirrored self-loops collapse to 1
     return mat
+
+
+def unique_keys(keys):
+    """Sorted distinct values of a 1-d integer array: `np.unique` by one
+    sort and a neighbour comparison, several times faster than numpy's
+    hashing `np.unique` on arrays of many thousands of keys."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _read_edges(edge_file, n):
+    """Distinct undirected edges (i <= j) of one edge file, sorted, as
+    the arrays (i, j).
+
+    The file is parsed at once: token boundaries and the line of every
+    token come from array ops over its code points, the ids from one
+    int64 conversion of its `str.split` tokens, and duplicates leave
+    through `unique_keys` on `i * n + j` keys. A line holds two ids or
+    only whitespace; the error names the first line that breaks a rule,
+    as a line-by-line reader would.
+    """
+    text = edge_file.read_text()
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    # str.split's whitespace: a table up to the file's largest code point
+    table = np.array([chr(c).isspace() for c in range(int(codes.max(initial=0)) + 1)])
+    space = table[codes]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    # 0-based line of each token: the newlines before its first character
+    line_of = np.searchsorted(np.flatnonzero(codes == ord("\n")), np.flatnonzero(starts))
+    per_line = np.bincount(line_of)
+    bad_lines = np.flatnonzero((per_line != 0) & (per_line != 2))
+    tokens = text.split()
+    if bad_lines.size:  # ids before the first bad line are checked first
+        tokens = tokens[:np.searchsorted(line_of, bad_lines[0])]
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+        in_range = ids.size == 0 or (ids.min() >= 0 and ids.max() < n)
+    except (ValueError, OverflowError):  # a non-integer or a huge token
+        in_range = False
+    if not in_range:
+        _raise_bad_id(edge_file, text, tokens, line_of, n)
+    if bad_lines.size:
+        _raise_at(edge_file, text, bad_lines[0], "expected two node ids, got")
+    i, j = ids[0::2], ids[1::2]
+    keys = unique_keys(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.divmod(keys, n)
+
+
+def _raise_bad_id(edge_file, text, tokens, line_of, n):
+    """Name the first line with a token that is not a node id in [0, n);
+    a non-integer token on it is named before an id out of range."""
+    line = line_of[next(t for t, tok in enumerate(tokens) if not _is_id(tok, n))]
+    try:
+        for tok in text.split("\n")[line].split():
+            int(tok)
+    except ValueError as exc:
+        _raise_at(edge_file, text, line, "non-integer node id in", exc)
+    _raise_at(edge_file, text, line, f"node id out of range [0, {n}) in")
+
+
+def _is_id(token, n):
+    try:
+        return 0 <= int(token) < n
+    except ValueError:
+        return False
+
+
+def _raise_at(edge_file, text, line, problem, cause=None):
+    """GraphFormatError naming `file:line`, the problem and the stripped line."""
+    stripped = text.split("\n")[line].strip()
+    raise GraphFormatError(f"{edge_file}:{line + 1}: {problem} {stripped!r}") from cause
 
 
 def edges_from_csr(a):
@@ -154,26 +233,7 @@ def load_multiplex(path) -> MultiplexGraph:
         edge_file = path / "dims" / f"{k}.edges"
         if not edge_file.exists():
             raise GraphFormatError(f"missing edge file {edge_file}")
-        pairs = set()
-        with open(edge_file) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise GraphFormatError(
-                        f"{edge_file}:{lineno}: expected two node ids, got {line!r}")
-                try:
-                    i, j = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{edge_file}:{lineno}: non-integer node id in {line!r}") from exc
-                if not (0 <= i < n and 0 <= j < n):
-                    raise GraphFormatError(
-                        f"{edge_file}:{lineno}: node id out of range [0, {n}) in {line!r}")
-                pairs.add((min(i, j), max(i, j)))
-        dims.append(_edges_to_csr(n, sorted(pairs)))
+        dims.append(_symmetric_csr(n, *_read_edges(edge_file, n)))
 
     feat_file = path / "features.csv"
     if feat_file.exists():

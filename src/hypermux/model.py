@@ -37,7 +37,7 @@ import scipy.sparse as sps
 from . import autodiff as ad
 from . import manifold as mf
 from .autodiff import Tensor, val
-from .graph import normalize_adjacency
+from .graph import normalize_adjacency, unique_keys
 
 
 class ModelConfigError(ValueError):
@@ -165,7 +165,7 @@ class UnionPattern(ad.SymmetricPattern):
         """`mats`: the graph's N x N sparse input matrices."""
         n = mats[0].shape[0]
         coos = [m.tocoo() for m in mats]
-        keys = np.unique(np.concatenate(
+        keys = unique_keys(np.concatenate(
             [c.row.astype(np.int64) * n + c.col for c in coos]
             + [np.arange(n, dtype=np.int64) * (n + 1)]))  # row-major offsets
         super().__init__(keys // n, keys % n, n)
@@ -207,24 +207,21 @@ class StackedAdjacency:
            "sparse" - traced values on the union's stacked `SparsePattern`.
     """
 
-    def __init__(self, union, values, mode, csr=None, csr_t=None, dense=None,
-                 pattern=None):
+    def __init__(self, union, values, mode, csr=None, dense=None, pattern=None):
         self.union = union
         self.n = union.shape[0]
         self.n_blocks = val(values).shape[0]
         self.values = values
         self.mode = mode
         self.csr = csr
-        self.csr_t = csr_t
         self.dense = dense
         self.pattern = pattern
 
     @classmethod
     def from_csr_list(cls, mats, union):
         mats = [m.tocsr() for m in mats]
-        stack = sps.vstack(mats, format="csr")
-        return cls(union, union.values_of(mats), "const", csr=stack,
-                   csr_t=stack.T.tocsr())
+        return cls(union, union.values_of(mats), "const",
+                   csr=sps.vstack(mats, format="csr"))
 
     @classmethod
     def built(cls, union, values):
@@ -238,7 +235,7 @@ class StackedAdjacency:
     def matmul(self, x):
         """(D*N, N) @ (N, F): propagation through every block at once."""
         if self.mode == "const":
-            return ad.spmm_const(self.csr, self.csr_t, x)
+            return ad.spmm_const(self.csr, self.csr.T, x)
         if self.mode == "dense":
             return ad.matmul(self.dense, x)
         return ad.spmm(self.pattern, ad.reshape(self.values, (-1,)), x)
@@ -248,14 +245,14 @@ def prepare_adjacencies(graph, config: ModelConfig | None = None):
     """Normalize every input dimension once, at load time, and stack them.
 
     Also fixes the graph's union pattern and, given the model `config`,
-    the stacked patterns of the levels its schedule builds, so no epoch
-    builds them.
+    the stacked patterns of the levels its schedule propagates through
+    (every built level but the last), so no epoch builds them.
     """
     mats = [normalize_adjacency(a) for a in graph.dims]
     union = UnionPattern(mats)
     if config is not None and union.mode == "sparse":
         for k in resolve_dim_schedule(len(mats), config.n_layers,
-                                      config.dim_schedule)[1:]:
+                                      config.dim_schedule)[1:-1]:
             union.stacked(k)
     return StackedAdjacency.from_csr_list(mats, union)
 
@@ -266,9 +263,14 @@ def prepare_adjacencies(graph, config: ModelConfig | None = None):
 
 @dataclass
 class Hierarchy:
-    """Adjacency levels 0..L plus diagnostics captured while building."""
+    """The adjacency levels `propagate` reads, 0..L-1 for L layers, plus
+    diagnostics captured while building.
 
-    levels: list  # StackedAdjacency per level, block counts = dim_schedule
+    The last layer's aggregate feeds no layer, so it is kept only as raw
+    values in `raw_flat`, never normalized into a level.
+    """
+
+    levels: list  # StackedAdjacency per level, block counts = dim_schedule[:-1]
     raw_flat: list  # per layer, (D_l, nnz) pre-normalization values on the union
     softmax_dev: float  # max |sum(alpha row) - 1| across layers
 
@@ -283,12 +285,16 @@ class Hierarchy:
 
 def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
                     config: ModelConfig):
-    """Latent adjacency levels; level 0 is the (constant) normalized input."""
+    """Latent adjacency levels; level 0 is the (constant) normalized input.
+
+    Every layer's aggregate is computed, for the diagnostics, but only
+    those a later layer propagates through are normalized into levels.
+    """
     union = level0.union
     levels = [level0]
     raw_all = []
     dev = 0.0
-    for layer in params.layers:
+    for l, layer in enumerate(params.layers, start=1):
         current = levels[-1]
         if len(layer.weights) != current.n_blocks:
             raise ModelConfigError(
@@ -298,7 +304,8 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
         dev = max(dev, float(np.abs(val(alpha).sum(axis=-1) - 1.0).max()))
         raw = ad.relu(ad.matmul(alpha, current.values))
         raw_all.append(val(raw))
-        levels.append(StackedAdjacency.built(union, ad.normalize_blocks(raw, union)))
+        if l < len(params.layers):
+            levels.append(StackedAdjacency.built(union, ad.normalize_blocks(raw, union)))
     return Hierarchy(levels, raw_all, dev)
 
 

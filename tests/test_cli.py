@@ -78,6 +78,27 @@ def test_diagnose_reports_gap(tmp_path, capsys):
     assert payload["gap"] == pytest.approx(payload["lid"] - payload["id"])
 
 
+def test_diagnose_malformed_graph_exits_one(tmp_path, capsys):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    run_dir = tmp_path / "run"
+    assert run(["train", "--graph", str(graph_dir), "--embed", "4", "--epochs", "1",
+                "--out", str(run_dir)]) == 0
+    edge_file = graph_dir / "dims" / "1.edges"
+    lines = edge_file.read_text().splitlines()
+    at = len(lines) // 2  # mid-file, 0-based
+    lines.insert(at, "3 x")
+    edge_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out_file = tmp_path / "geo.json"
+    assert run(["diagnose", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                "--graph", str(graph_dir), "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"1.edges:{at + 1}: non-integer node id in '3 x'" in err
+    assert not out_file.exists()
+
+
 def test_eval_emits_metrics(tmp_path, capsys):
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir, n=60))
@@ -220,6 +241,24 @@ def test_ablate_emits_comparison_table(tmp_path, capsys):
     assert variants == {"full", "euclidean", "weights-ablation", "layers-ablation"}
     summary = json.loads((out / "ablation_summary.json").read_text())
     assert set(summary) == variants
+
+
+def test_ablate_forwards_logreg_l2(tmp_path, monkeypatch):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir, n=40, seed=3))
+    seen = []
+    real = cli.ev.classification_eval
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("l2"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ev, "classification_eval", spy)
+    cfg = _config(tmp_path, {"train.epochs": 1, "model.embed": 4,
+                             "eval.class_repeats": 1, "eval.logreg_l2": 0.5})
+    assert run(["ablate", "--graph", str(graph_dir), "--seeds", "1", "--config", str(cfg),
+                "--out", str(tmp_path / "ablation")]) == 0
+    assert seen == [0.5] * len(cli.ABLATION_VARIANTS)
 
 
 def test_byte_identical_reruns(tmp_path):

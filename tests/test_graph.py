@@ -184,6 +184,126 @@ def test_load_synthesizes_degree_features(tmp_path):
     assert np.allclose(g.features.mean(axis=0), 0.0, atol=1e-12)
 
 
+# --- edge files against the line-by-line reader ----------------------------
+
+
+def line_by_line_edges(edge_file, n):
+    """The per-line edge reader `load_multiplex` had before it parsed each
+    file in one pass; kept here as the oracle for its results and errors."""
+    pairs = set()
+    with open(edge_file) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise gm.GraphFormatError(
+                    f"{edge_file}:{lineno}: expected two node ids, got {line!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise gm.GraphFormatError(
+                    f"{edge_file}:{lineno}: non-integer node id in {line!r}") from exc
+            if not (0 <= i < n and 0 <= j < n):
+                raise gm.GraphFormatError(
+                    f"{edge_file}:{lineno}: node id out of range [0, {n}) in {line!r}")
+            pairs.add((min(i, j), max(i, j)))
+    return gm._edges_to_csr(n, sorted(pairs))
+
+
+# \x0b, \x0c and \x1c are whitespace to str.split but end no line when a
+# file is read line by line
+SEPARATORS = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c"]
+PADDING = ["", " ", "\t", "  \t"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+BAD_LINES = {
+    "one token": lambda n: "3",
+    "three tokens": lambda n: "0 1 2",
+    "non-integer": lambda n: "1 x",
+    "float": lambda n: "1.0 2",
+    "negative": lambda n: "-1 0",
+    "too large": lambda n: f"0 {n}",
+    "huge": lambda n: "0 99999999999999999999",
+}
+
+
+@st.composite
+def edge_file_lines(draw, n):
+    """Edge lines, blank lines and padding; repeats and reversed pairs
+    come from drawing ids from a small range."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(PADDING)))
+            continue
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        pad = st.sampled_from(PADDING)
+        lines.append(f"{draw(pad)}{i}{draw(st.sampled_from(SEPARATORS))}{j}{draw(pad)}")
+    return lines
+
+
+def write_graph(root, n, files):
+    (root / "dims").mkdir()
+    (root / "meta.json").write_text(
+        f'{{"n_nodes": {n}, "n_dims": {len(files)}, "n_features": 1}}')
+    (root / "features.csv").write_text("".join(f"{k}.0\n" for k in range(n)))
+    for k, text in enumerate(files):
+        (root / "dims" / f"{k}.edges").write_bytes(text.encode())
+    return [root / "dims" / f"{k}.edges" for k in range(len(files))]
+
+
+def join_lines(lines, end, final_newline):
+    return end.join(lines) + (end if final_newline and lines else "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_edges_match_line_by_line_reader(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 8))
+    files = [join_lines(data.draw(edge_file_lines(n)), data.draw(st.sampled_from(LINE_ENDS)),
+                        data.draw(st.booleans()))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    root = tmp_path_factory.mktemp("g")
+    paths = write_graph(root, n, files)
+    want = gm.MultiplexGraph(n, [line_by_line_edges(p, n) for p in paths],
+                             np.arange(n, dtype=float)[:, None])
+    assert gm.graphs_equal(gm.load_multiplex(root), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_bad_edge_line_named_like_line_by_line_reader(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 8))
+    lines = data.draw(edge_file_lines(n))
+    # one or two bad lines, anywhere: the first one is named
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(sorted(BAD_LINES)))
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(PADDING)) + BAD_LINES[kind](n))
+    text = join_lines(lines, data.draw(st.sampled_from(LINE_ENDS)), data.draw(st.booleans()))
+    root = tmp_path_factory.mktemp("g")
+    (edge_file,) = write_graph(root, n, [text])
+    with pytest.raises(gm.GraphFormatError) as want:
+        line_by_line_edges(edge_file, n)
+    with pytest.raises(gm.GraphFormatError) as got:
+        gm.load_multiplex(root)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("0 1\n\n2 x\n0 9\n", 3, "non-integer node id in '2 x'"),
+    ("0 1\n0 9\n2 x\n", 2, "node id out of range [0, 3) in '0 9'"),
+    ("0 1\r\n 1  2 0 \r\n1 x\r\n", 2, "expected two node ids, got '1  2 0'"),
+    ("0 1\n1 x 2\n", 2, "expected two node ids, got '1 x 2'"),
+])
+def test_load_names_first_bad_edge_line(tmp_path, text, line, problem):
+    write_graph(tmp_path, 3, [text])
+    with pytest.raises(gm.GraphFormatError) as err:
+        gm.load_multiplex(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'dims' / '0.edges'}:{line}: {problem}"
+
+
 def test_degree_features_standardized():
     g = make_graph(seed=3)
     x = gm.degree_features(g.dims)

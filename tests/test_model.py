@@ -217,7 +217,8 @@ def test_forward_schedule_bookkeeping():
                           dim_schedule=(4, 2, 1))
     params = mdl.init_params(4, 4, cfg, seed=1)
     result = mdl.forward(g, g.features, params, cfg)
-    assert [lv.n_blocks for lv in result.hierarchy.levels] == [4, 2, 1]
+    # the last layer's aggregate feeds no layer: raw values only, no level
+    assert [lv.n_blocks for lv in result.hierarchy.levels] == [4, 2]
     assert [len(raw) for raw in result.hierarchy.raw_aggregated] == [2, 1]
     assert ad.val(result.z).shape == (10, 5)
 
@@ -294,11 +295,16 @@ def test_level_support_equals_union_pattern():
     union = hier.levels[0].union
     support = union_support(g)
     assert np.array_equal(union.to_dense(np.ones((1, union.nnz)))[0] != 0, support)
-    for l, level in enumerate(hier.levels[1:]):
-        normalized = union.to_dense(ad.val(level.values))
+    schedule = mdl.resolve_dim_schedule(4, cfg.n_layers)
+    for l in range(cfg.n_layers):
         raw = np.stack(hier.raw_matrices(l))
-        assert raw.shape == normalized.shape == (level.n_blocks, 40, 40)
-        for block in (*raw, *normalized):
+        assert raw.shape == (schedule[l + 1], 40, 40)
+        for block in raw:
+            assert np.array_equal(block != 0, support)
+    for level in hier.levels[1:]:
+        normalized = union.to_dense(ad.val(level.values))
+        assert normalized.shape == (level.n_blocks, 40, 40)
+        for block in normalized:
             assert np.array_equal(block != 0, support)
 
 
@@ -325,9 +331,34 @@ def test_storage_mode_follows_union_density(graph, mode):
     assert level0.union.mode == mode
     params = mdl.init_params(graph.n_dims, 3, cfg, seed=6)
     hier = mdl.build_hierarchy(level0, params, cfg)
-    assert [lv.mode for lv in hier.levels] == ["const", mode, mode]
-    # the stacked patterns were built with level 0, not by the first epoch
-    assert (sorted(level0.union._stacked) == [1, 2]) == (mode == "sparse")
+    assert [lv.mode for lv in hier.levels] == ["const", mode]
+    # the stacked patterns were built with level 0, not by the first epoch,
+    # and only for the levels propagated (schedule (3, 2, 1): k = 2)
+    assert sorted(level0.union._stacked) == ([2] if mode == "sparse" else [])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_hierarchy_holds_only_levels_propagate_reads(n_layers, monkeypatch):
+    g = sparse_ring_graph(60, 6, seed=1)  # union density <= 13/60: sparse
+    cfg = mdl.ModelConfig(n_layers=n_layers, embed_size=4, manifold=mf.EUCLIDEAN)
+    schedule = mdl.resolve_dim_schedule(6, n_layers)
+    level0 = mdl.prepare_adjacencies(g, cfg)
+    assert level0.union.mode == "sparse"
+    # stacked patterns only for the levels a layer propagates through
+    assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
+    params = mdl.init_params(6, 3, cfg, seed=0)
+    hier = mdl.build_hierarchy(level0, params, cfg)
+    assert [lv.n_blocks for lv in hier.levels] == list(schedule[:-1])
+    # raw values for every layer, the last one included
+    assert [raw.shape for raw in hier.raw_flat] == [(k, level0.union.nnz)
+                                                     for k in schedule[1:]]
+    read = []
+    matmul = mdl.StackedAdjacency.matmul
+    monkeypatch.setattr(mdl.StackedAdjacency, "matmul",
+                        lambda level, x: read.append(level) or matmul(level, x))
+    mdl.propagate(hier, g.features, params, cfg)
+    assert [id(lv) for lv in read] == [id(lv) for lv in hier.levels]
+    assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -354,9 +385,11 @@ def test_dense_oracle_support_stays_inside_union(seed):
         for m in (*raw, *current):
             assert not np.any(m[~support])
         assert np.abs(np.stack(raw) - np.stack(hier.raw_matrices(l))).max() < 1e-12
-        level = hier.levels[l + 1]
-        got = level.union.to_dense(ad.val(level.values))
-        assert np.abs(np.stack(current) - got).max() < 1e-12
+        if l + 1 < len(hier.levels):  # the last layer's aggregate is never normalized
+            level = hier.levels[l + 1]
+            got = level.union.to_dense(ad.val(level.values))
+            assert np.abs(np.stack(current) - got).max() < 1e-12
+    assert len(hier.levels) == cfg.n_layers
 
 
 # --- latent hierarchy fixture (documented above) ----------------------------

@@ -275,7 +275,7 @@ def test_end_to_end_gradcheck_sparse_levels():
                   for l in range(1, cfg.n_layers + 1)]
         p = mdl.ModelParams(layers)
         hier = mdl.build_hierarchy(level0, p, cfg)
-        assert [lv.mode for lv in hier.levels] == ["const", "sparse", "sparse"]
+        assert [lv.mode for lv in hier.levels] == ["const", "sparse"]
         z, _, _ = mdl.propagate(hier, x, p, cfg)
         zh, _, _ = mdl.propagate(hier, x_hat, p, cfg)
         return ad.neg(tr.dgi_objective(z, zh, leaves["Q"], kind=cfg.manifold))
