@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import model as mdl
 from .autodiff import val
 from .graph import GraphFormatError, derive_seed, load_multiplex, save_multiplex
-from .manifold import MANIFOLDS, to_euclidean
+from .manifold import MANIFOLDS
 from .synthetic import GenConfigError, GenParams, generate, resolve_params, sweep_specs
 from .training import TrainConfig, TrainConfigError, train, write_history_csv
 
@@ -172,8 +172,8 @@ def _write_csv(path, header, rows):
 def _embed_checkpoint(checkpoint, graph):
     """(model config, Z, Z in tangent coordinates) of a checkpoint on a graph."""
     params, _, model_config, _ = mdl.load_checkpoint(checkpoint)
-    z = mdl.forward(graph, graph.features, params, model_config).z
-    return model_config, val(z), val(to_euclidean(z, model_config.manifold))
+    out = mdl.forward(graph, graph.features, params, model_config)
+    return model_config, val(out.z), val(out.z_tangent)
 
 
 def _check_seeds(n):

@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import manifold as mf
-from .autodiff import constant, val
-
 
 class EstimatorError(ValueError):
     pass
@@ -116,12 +113,9 @@ class GeoReport:
     context: dict = field(default_factory=dict)
 
 
-def curvature_gap(points, kind=mf.EUCLIDEAN, trim=0.1, threshold=0.9,
-                  context=None):
-    """linear_id - twonn_id on the same cloud (tangent coords for manifolds)."""
+def curvature_gap(points, trim=0.1, threshold=0.9, context=None):
+    """linear_id - twonn_id on the same cloud (tangent coordinates)."""
     x = np.asarray(points, dtype=np.float64)
-    if kind != mf.EUCLIDEAN:
-        x = val(mf.to_euclidean(constant(x), kind))
     n_dup = x.shape[0] - np.unique(x, axis=0).shape[0]
     ide = twonn_id(x, trim=trim)
     lid = linear_id(x, threshold=threshold)

@@ -156,7 +156,7 @@ def _read_edges(edge_file, n):
     only whitespace; the error names the first line that breaks a rule,
     as a line-by-line reader would.
     """
-    text = edge_file.read_text()
+    text = _read_text(edge_file)
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     # str.split's whitespace: a table up to the file's largest code point
     table = np.array([chr(c).isspace() for c in range(int(codes.max(initial=0)) + 1)])
@@ -182,6 +182,14 @@ def _read_edges(edge_file, n):
     i, j = ids[0::2], ids[1::2]
     keys = unique_keys(np.minimum(i, j) * n + np.maximum(i, j))
     return np.divmod(keys, n)
+
+
+def _read_text(path):
+    """The text of a graph file; undecodable bytes are a format error."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not valid text: {exc}") from exc
 
 
 def _raise_bad_id(edge_file, text, tokens, line_of, n):
@@ -255,16 +263,15 @@ def load_multiplex(path) -> MultiplexGraph:
     label_file = path / "labels.csv"
     if label_file.exists():
         labels = []
-        with open(label_file) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    labels.append([int(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{label_file}:{lineno}: bad class id in {line!r}") from exc
+        for lineno, line in enumerate(_read_text(label_file).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                labels.append([int(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise GraphFormatError(
+                    f"{label_file}:{lineno}: bad class id in {line!r}") from exc
         if len(labels) != n:
             raise GraphFormatError(f"{label_file}: {len(labels)} lines for {n} nodes")
 

@@ -1,13 +1,13 @@
 """Hierarchical hyperbolic GNN over multiplex graphs.
 
-Per layer l (with D_{l-1} current latent dimensions):
+Per layer l (with D_{l-1} current latent dimensions), in tangent
+coordinates at the base point; exp0 lifts the last layer's output:
 
   1. propagate node states through every dimension's normalized
-     adjacency, with the linear map and activation taken in the tangent
-     space at the base point:  H_d = exp0( sigma( A_d . log0(H) . W_d ) );
-  2. combine the per-dimension states into one consensus state with
-     softmax attention weights (a weighted sum in tangent coordinates,
-     mapped back through exp0);
+     adjacency, then apply the linear map and the activation:
+     H_d = sigma( A_d . H . W_d );
+  2. combine the per-dimension states into one consensus state, a
+     softmax-weighted sum over the dimensions;
   3. aggregate the D_{l-1} adjacency matrices into D_l higher-order
      latent matrices with row-softmax combination weights, apply phi
      (relu), and re-normalize them for the next layer.
@@ -312,42 +312,38 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
 def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig):
     """Run the embedding layers over a prebuilt adjacency hierarchy.
 
-    Returns (Z, softmax deviation, max Lorentz constraint violation).
+    Every layer works in tangent coordinates at the base point. Returns
+    (H, softmax deviation), H the last layer's N x M states.
     """
-    kind = config.manifold
-    mf.check_manifold(kind)
     n = hierarchy.levels[0].n
-    h = mf.lift(x if ad.is_tensor(x) else ad.constant(np.asarray(x, dtype=np.float64)),
-                kind)
-    violation = mf.lorentz_violation(val(h)) if kind == mf.LORENTZ else 0.0
+    h = x if ad.is_tensor(x) else ad.constant(np.asarray(x, dtype=np.float64))
     dev = 0.0
     for l, layer in enumerate(params.layers):
-        level = hierarchy.levels[l]
-        tangent = mf.to_euclidean(h, kind)
-        prop_all = level.matmul(tangent)  # (D*N, F_in)
+        prop_all = hierarchy.levels[l].matmul(h)  # (D*N, F_in)
         per_dim = ad.leaky_relu(ad.block_matmul(prop_all, layer.weights, n),
                                 config.leaky_slope)
         beta = ad.softmax(ad.reshape(layer.beta_logits, (1, -1)), axis=-1)
         dev = max(dev, float(abs(val(beta).sum() - 1.0)))
-        h = mf.lift(ad.block_weighted_sum(per_dim, beta, n), kind)
-        if kind == mf.LORENTZ:
-            violation = max(violation, mf.lorentz_violation(val(h)))
-    return h, dev, violation
+        h = ad.block_weighted_sum(per_dim, beta, n)
+    return h, dev
 
 
 @dataclass
 class ForwardResult:
-    z: Tensor  # N x M node states (N x (M+1) on the hyperboloid)
+    z: Tensor  # N x M node states on the manifold (N x (M+1) on the hyperboloid)
+    z_tangent: Tensor  # the same states in tangent coordinates, N x M
     hierarchy: Hierarchy
     softmax_dev: float
-    lorentz_violation: float
+    lorentz_violation: float  # of the output lift; 0 off the hyperboloid
 
 
 def forward(graph, x, params: ModelParams, config: ModelConfig):
     """Full multilayer pass: embeddings plus the latent adjacency hierarchy."""
     hierarchy = build_hierarchy(prepare_adjacencies(graph, config), params, config)
-    z, dev, violation = propagate(hierarchy, x, params, config)
-    return ForwardResult(z, hierarchy, max(dev, hierarchy.softmax_dev), violation)
+    h, dev = propagate(hierarchy, x, params, config)
+    z = mf.lift(h, config.manifold)
+    violation = mf.lorentz_violation(val(z)) if config.manifold == mf.LORENTZ else 0.0
+    return ForwardResult(z, h, hierarchy, max(dev, hierarchy.softmax_dev), violation)
 
 
 # ---------------------------------------------------------------------------

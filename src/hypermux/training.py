@@ -56,9 +56,9 @@ class TrainConfig:
 # objective
 
 
-def readout(z, kind=mf.EUCLIDEAN):
-    """Graph summary: mean of the node states in tangent coordinates, (1, M)."""
-    return ad.tmean(mf.to_euclidean(z, kind), axis=0, keepdims=True)
+def readout(z):
+    """Graph summary: mean of the (tangent) node states, (1, M)."""
+    return ad.tmean(z, axis=0, keepdims=True)
 
 
 def init_discriminator(m, name="Q"):
@@ -82,7 +82,7 @@ def discriminate(s, z, q):
     return float(out[0, 0]) if single else out.ravel()
 
 
-def dgi_objective(z, z_corrupt, q, kind=mf.EUCLIDEAN):
+def dgi_objective(z, z_corrupt, q):
     """sum_i log D(s, z_i) + sum_j log(1 - D(s, z_corrupt_j)).
 
     The summary s comes from the clean states; training minimizes the
@@ -91,9 +91,9 @@ def dgi_objective(z, z_corrupt, q, kind=mf.EUCLIDEAN):
     if val(z).shape != val(z_corrupt).shape:
         raise ad.ShapeError(
             f"dgi_objective: shapes {val(z).shape} != {val(z_corrupt).shape}")
-    s = readout(z, kind)
-    pos = discriminate(s, mf.to_euclidean(z, kind), q)
-    neg = discriminate(s, mf.to_euclidean(z_corrupt, kind), q)
+    s = readout(z)
+    pos = discriminate(s, z, q)
+    neg = discriminate(s, z_corrupt, q)
     pos_term = ad.tsum(ad.log(ad.clip(pos, LOG_FLOOR, 1.0)))
     neg_term = ad.tsum(ad.log(ad.clip(ad.sub(1.0, neg), LOG_FLOOR, 1.0)))
     return ad.add(pos_term, neg_term)
@@ -157,7 +157,7 @@ class TrainResult:
     final_loss: float
     best_loss: float
     n_epochs: int
-    max_lorentz_violation: float = 0.0
+    max_lorentz_violation: float = 0.0  # of the output lift
     max_softmax_dev: float = 0.0
     aborted: str | None = None
 
@@ -168,8 +168,10 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     Stops after `patience` consecutive epochs without improving the best
     loss by at least `min_delta`, or at `max_epochs`. A non-finite loss
     aborts, keeping the parameters from before the offending update.
+    States stay in tangent coordinates; the output is lifted once, at the end.
     """
     train_config.validate()
+    mf.check_manifold(model_config.manifold)
     level0 = mdl.prepare_adjacencies(graph, model_config)
     x = np.asarray(graph.features, dtype=np.float64)
     params = mdl.init_params(graph.n_dims, x.shape[1], model_config,
@@ -181,29 +183,25 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     history = []
     best = np.inf
     since_improved = 0
-    max_violation = 0.0
     max_dev = 0.0
-    z_value = None
     z_tangent = None
     aborted = None
     epoch = 0
 
     for epoch in range(1, train_config.max_epochs + 1):
         hierarchy = mdl.build_hierarchy(level0, params, model_config)
-        z, dev_c, viol_c = mdl.propagate(hierarchy, x, params, model_config)
+        z, dev_c = mdl.propagate(hierarchy, x, params, model_config)
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
-        z_hat, dev_h, viol_h = mdl.propagate(hierarchy, x_hat, params, model_config)
-        loss = ad.neg(dgi_objective(z, z_hat, q, kind=model_config.manifold))
+        z_hat, dev_h = mdl.propagate(hierarchy, x_hat, params, model_config)
+        loss = ad.neg(dgi_objective(z, z_hat, q))
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
             aborted = f"non-finite loss at epoch {epoch}"
             epoch -= 1
             break
 
-        max_violation = max(max_violation, viol_c, viol_h)
         max_dev = max(max_dev, dev_c, dev_h, hierarchy.softmax_dev)
-        z_value = val(z).copy()
-        z_tangent = val(mf.to_euclidean(ad.constant(z_value), model_config.manifold))
+        z_tangent = val(z).copy()
 
         row = HistoryRow(epoch, loss_value)
         if train_config.telemetry:
@@ -224,15 +222,17 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
         grads = {name: ad.grad_or_zero(t) for name, t in trainables}
         optimizer.step(grads)
 
-    if z_value is None:
+    if z_tangent is None:
         raise TrainingError(aborted or "training produced no usable epoch")
+    z_final = val(mf.lift(z_tangent, model_config.manifold))
+    violation = mf.lorentz_violation(z_final) if model_config.manifold == mf.LORENTZ else 0.0
 
     return TrainResult(
         params=params, discriminator=q, config=model_config,
-        z_final=z_value, z_tangent=z_tangent, history=history,
+        z_final=z_final, z_tangent=z_tangent, history=history,
         final_loss=history[-1].loss, best_loss=min(r.loss for r in history),
         n_epochs=epoch,
-        max_lorentz_violation=max_violation, max_softmax_dev=max_dev,
+        max_lorentz_violation=violation, max_softmax_dev=max_dev,
         aborted=aborted)
 
 

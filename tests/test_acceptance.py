@@ -138,9 +138,9 @@ def test_criterion_3_gradient_correctness():
             for l in range(1, cfg.n_layers + 1)]
         p = mdl.ModelParams(layers)
         hier = mdl.build_hierarchy(level0, p, cfg)
-        z, _, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"], kind=cfg.manifold))
+        z, _ = mdl.propagate(hier, x, p, cfg)
+        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
+        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
 
     err = ad.grad_check(build, inputs, epsilon=1e-5, n_coords=120)
     _report(3, "end-to-end gradient correctness", err < 1e-4,

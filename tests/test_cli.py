@@ -99,6 +99,22 @@ def test_diagnose_malformed_graph_exits_one(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("name", ["dims/1.edges", "labels.csv"])
+def test_eval_non_utf8_graph_file_exits_one(tmp_path, capsys, name):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    target = graph_dir / name
+    data = target.read_bytes()
+    target.write_bytes(data[:4] + b"\xff\xfe" + data[4:])
+    capsys.readouterr()
+    out_file = tmp_path / "metrics.json"
+    assert run(["eval", "--graph", str(graph_dir), "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{target}: not valid text" in err
+    assert not out_file.exists()
+
+
 def test_eval_emits_metrics(tmp_path, capsys):
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir, n=60))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import hypermux.manifold as mf
 from hypermux import geometry as geo
 
 
@@ -150,16 +149,6 @@ def test_gap_is_lid_minus_id_identity():
     rng = np.random.default_rng(15)
     report = geo.curvature_gap(rng.normal(size=(500, 10)))
     assert report.gap == report.lid_estimate - report.id_estimate
-
-
-def test_gap_maps_manifold_points_to_tangent_space():
-    rng = np.random.default_rng(16)
-    tangent = rng.normal(size=(800, 4)) * 0.5
-    lifted = mf.val(mf.lift(tangent, mf.LORENTZ))
-    direct = geo.curvature_gap(tangent)
-    via_manifold = geo.curvature_gap(lifted, kind=mf.LORENTZ)
-    assert via_manifold.id_estimate == pytest.approx(direct.id_estimate, abs=1e-9)
-    assert via_manifold.lid_estimate == direct.lid_estimate
 
 
 def test_report_counts_duplicates():

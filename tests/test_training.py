@@ -19,20 +19,19 @@ def small_graph(seed=1, n=6, d=3):
 
 def test_readout_single_node():
     z = np.array([[0.0, 0.7, -0.2]])
-    lifted = ad.val(mf.lift(z, mf.LORENTZ))
-    s = ad.val(tr.readout(lifted, mf.LORENTZ))
+    s = ad.val(tr.readout(z))
     assert np.allclose(s, z, atol=1e-9)
 
 
 def test_readout_opposite_vectors_cancel():
     z = np.array([[0.5, -0.3], [-0.5, 0.3]])
-    assert np.allclose(ad.val(tr.readout(z, mf.EUCLIDEAN)), 0.0, atol=1e-12)
+    assert np.allclose(ad.val(tr.readout(z)), 0.0, atol=1e-12)
 
 
 def test_readout_is_column_mean():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(5, 3))
-    assert np.allclose(ad.val(tr.readout(z, mf.EUCLIDEAN)), z.mean(axis=0),
+    assert np.allclose(ad.val(tr.readout(z)), z.mean(axis=0),
                        atol=1e-12)
 
 
@@ -62,7 +61,7 @@ def test_dgi_objective_all_half_scores():
     n, m = 4, 3
     z = np.zeros((n, m))
     z_hat = np.zeros((n, m))
-    out = float(ad.val(tr.dgi_objective(z, z_hat, np.eye(m), kind=mf.EUCLIDEAN)))
+    out = float(ad.val(tr.dgi_objective(z, z_hat, np.eye(m))))
     assert out == pytest.approx(2 * n * np.log(0.5), abs=1e-9)
 
 
@@ -90,7 +89,7 @@ def test_dgi_objective_near_perfect_discrimination():
     s = np.array([[1.0]])
     pos = np.full((3, 1), big)
     neg = np.full((3, 1), -big)
-    out = float(ad.val(tr.dgi_objective(pos, neg, np.eye(1), kind=mf.EUCLIDEAN)))
+    out = float(ad.val(tr.dgi_objective(pos, neg, np.eye(1))))
     # summary is mean(pos) = big > 0, so positives score ~1, corrupted ~0
     assert -1e-9 < out < 0.0 or out == 0.0
 
@@ -180,6 +179,28 @@ def test_training_deterministic_given_seed():
     assert np.array_equal(a.z_final, b.z_final)
 
 
+def test_manifold_variants_train_the_same_tangent_states():
+    # feature rows beyond the ball's arctanh clamp (|h| ~ 8.4): the model
+    # must not pass them through the manifold before the output
+    rng = np.random.default_rng(21)
+    g = small_graph(seed=4, n=12)
+    x = rng.normal(size=g.features.shape)
+    x *= rng.uniform(9.5, 12.0, size=(g.n_nodes, 1)) / np.linalg.norm(x, axis=1,
+                                                                      keepdims=True)
+    graph = MultiplexGraph(g.n_nodes, g.dims, x)
+    tc = tr.TrainConfig(max_epochs=6, seed=2)
+    runs = []
+    for variant in ("full", "poincare", "euclidean"):
+        cfg = mdl.ModelConfig.for_variant(variant, embed_size=4)
+        out = tr.train(graph, cfg, tc)
+        assert np.array_equal(out.z_final, ad.val(mf.lift(out.z_tangent, cfg.manifold)))
+        runs.append(out)
+    full = runs[0]
+    for out in runs[1:]:
+        assert [r.loss for r in out.history] == [r.loss for r in full.history]
+        assert np.array_equal(out.z_tangent, full.z_tangent)
+
+
 def test_loss_invariant_under_node_permutation():
     g = small_graph(seed=6, n=9)
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
@@ -189,9 +210,9 @@ def test_loss_invariant_under_node_permutation():
 
     def loss_for(graph, x, xh):
         hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), params, cfg)
-        z, _, _ = mdl.propagate(hier, x, params, cfg)
-        zh, _, _ = mdl.propagate(hier, xh, params, cfg)
-        return float(ad.val(tr.dgi_objective(z, zh, q, kind=cfg.manifold)))
+        z, _ = mdl.propagate(hier, x, params, cfg)
+        zh, _ = mdl.propagate(hier, xh, params, cfg)
+        return float(ad.val(tr.dgi_objective(z, zh, q)))
 
     base = loss_for(g, g.features, x_hat)
     perm = np.random.default_rng(8).permutation(g.n_nodes)
@@ -237,9 +258,9 @@ def test_end_to_end_gradcheck_all_parameter_groups():
                   for l in range(1, cfg.n_layers + 1)]
         p = mdl.ModelParams(layers)
         hier = mdl.build_hierarchy(level0, p, cfg)
-        z, _, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"], kind=cfg.manifold))
+        z, _ = mdl.propagate(hier, x, p, cfg)
+        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
+        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
 
     assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=80) < 1e-4
 
@@ -276,9 +297,9 @@ def test_end_to_end_gradcheck_sparse_levels():
         p = mdl.ModelParams(layers)
         hier = mdl.build_hierarchy(level0, p, cfg)
         assert [lv.mode for lv in hier.levels] == ["const", "sparse"]
-        z, _, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"], kind=cfg.manifold))
+        z, _ = mdl.propagate(hier, x, p, cfg)
+        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
+        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
 
     # every coordinate: the few alpha ones reach the loss only through
     # the sparse level's values, so sampling could miss them
