@@ -4,16 +4,24 @@ A small define-by-run tape, sufficient to train every parameter of the
 embedding models in this package. Every op is dual-mode: called on plain
 numpy arrays it just computes numpy, called on at least one `Tensor` it
 also records a closure mapping the output adjoint onto the input
-adjoints. `backward` replays the closures in reverse topological order.
+adjoints. `backward` replays the closures in reverse topological order
+and frees each interior node's adjoint once its closure has consumed
+it, so a sweep holds the tape's values plus the adjoints still to be
+propagated; afterwards only leaves hold `.grad`.
 
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
-values living on a fixed sparsity pattern (`SparsePattern` + `spmm`, and
-`SymmetricPattern` + `normalize_blocks` for degree normalization). The
-adjoint of a sparse product w.r.t. its dense operand multiplies by the
-CSC view `.T` of the CSR matrix, so no pattern sorts its transpose;
-scipy sums each output row's terms in the same ascending order as a
-sorted CSR transpose would, so the result is the same to the bit.
+values living on a fixed sparsity pattern (`SparsePattern`, and
+`SymmetricPattern` + `normalize_blocks` for degree normalization).
+`spmm` multiplies by a `StackedOperator`: the values of k matrices on
+one pattern as their (k*n, m) block stack, CSR or dense, made once and
+shared by every product with those values. Its values adjoint, g @ x.T
+sampled on the pattern, is formed a block of rows at a time, so no
+adjoint is a dense (k*n, m) array. The adjoint of a sparse product
+w.r.t. its dense operand multiplies by the CSC view `.T` of the CSR
+matrix, so no pattern sorts its transpose; scipy sums each output row's
+terms in the same ascending order as a sorted CSR transpose would, so
+the result is the same to the bit.
 
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
@@ -36,7 +44,8 @@ class Tensor:
     Leaves are created directly (``Tensor(value, requires_grad=True)``
     for trainables, ``constant(value)`` otherwise); interior nodes are
     created by the ops below. After ``backward``, every leaf on a path
-    to the output holds its adjoint in ``.grad``.
+    to the output holds its adjoint in ``.grad``; interior nodes hold
+    None there.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_vjp")
@@ -223,6 +232,8 @@ class SparsePattern:
     """Fixed sparsity pattern (COO index pairs) with precomputed CSR plumbing.
 
     The pattern itself is constant; only the values on it may be traced.
+    `_perm` orders the entries by (row, col); it is None when they are
+    in that order already, as every `SymmetricPattern`'s are.
     """
 
     def __init__(self, rows, cols, shape):
@@ -233,21 +244,27 @@ class SparsePattern:
             raise ShapeError("SparsePattern: rows/cols must be equal-length 1-d")
         n, m = self.shape
         self._flat = self.rows * m + self.cols  # row-major offsets in the dense matrix
-        # a stable sort of one int64 key orders like a lexsort by (row, col),
-        # and runs in linear time on a pattern already in that order
-        order = np.argsort(self._flat, kind="stable")
-        self._perm = order
-        self._indices = self.cols[order].astype(np.int32)
-        self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.rows, minlength=n), out=self._indptr[1:])
+        # a stable sort of one int64 key orders like a lexsort by (row, col)
+        self._perm = None if np.all(np.diff(self._flat) > 0) else \
+            np.argsort(self._flat, kind="stable")
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows, minlength=n), out=self.indptr[1:])
+        self._stacked = {}
 
     @property
     def nnz(self):
         return self.rows.shape[0]
 
-    def csr(self, values):
-        return sps.csr_matrix((values[self._perm], self._indices, self._indptr),
-                              shape=self.shape)
+    def stacked(self, k):
+        """int32 (indices, indptr) of the CSR stack of k copies, built once."""
+        if k not in self._stacked:
+            if k * self.nnz >= 2**31:
+                raise ShapeError(f"SparsePattern: {k} x {self.nnz} entries overflow int32")
+            cols = self.cols if self._perm is None else self.cols[self._perm]
+            starts = np.arange(k, dtype=np.int32)[:, None] * self.nnz + self.indptr[:-1]
+            self._stacked[k] = (np.tile(cols.astype(np.int32), k),
+                                np.append(starts.ravel(), np.int32(k * self.nnz)))
+        return self._stacked[k]
 
     def to_dense(self, values):
         out = np.zeros(self.shape)
@@ -275,7 +292,6 @@ class SymmetricPattern(SparsePattern):
         self.diag = np.flatnonzero(self.rows == self.cols)
         if self.diag.size != n:
             raise ShapeError("SymmetricPattern: pattern must hold the whole diagonal")
-        self.indptr = self._indptr
 
 
 def spmm_const(mat, mat_t, x):
@@ -292,34 +308,94 @@ def spmm_const(mat, mat_t, x):
     return _node(mat @ x.value, (x,), lambda g: (mat_t @ g,))
 
 
+class StackedOperator:
+    """k matrices with values on one `SparsePattern`, acting as their
+    (k*n, m) vertical block stack.
+
+    Made once from the (k, nnz) values and shared by every `spmm` with
+    them: `mat` is a CSR matrix over the pattern's cached stacked
+    `indices`/`indptr` whose data are the values themselves (no copy
+    for a pattern in CSR order), or, with `dense`, the filled float64
+    array `value`. `nnz` and `shape` describe the stack.
+    """
+
+    def __init__(self, pattern, values, dense=False):
+        values = val(values)
+        k, (n, m) = values.shape[0], pattern.shape
+        self.pattern, self.k = pattern, k
+        self.shape = (k * n, m)
+        self.nnz = k * pattern.nnz
+        if dense:
+            flat = np.zeros((k, n * m))
+            flat[:, pattern._flat] = values
+            self.value = self.mat = flat.reshape(self.shape)
+        else:
+            self.indices, self.indptr = pattern.stacked(k)
+            data = values if pattern._perm is None else values[:, pattern._perm]
+            self.mat = sps.csr_matrix((data.reshape(-1), self.indices, self.indptr),
+                                      shape=self.shape)
+
+
+SAMPLE_BLOCK_BYTES = 4 << 20  # size of one temporary of the sampled product
+
+
+def _sampled(pattern, g, x, k):
+    """(g @ x.T) at the pattern's entries of each of the k stacked blocks.
+
+    Returns (k, nnz): entry e of block d is g[d*n + row_e] . x[col_e].
+    Formed a block at a time so no temporary exceeds SAMPLE_BLOCK_BYTES:
+    one BLAS product per block of rows, kept only at the block's entries
+    (a sampled dense-dense product), or, below 5% density, row pairs
+    gathered per block of entries.
+    """
+    (n, m), f = pattern.shape, x.shape[1]
+    out = np.empty((k, pattern.nnz))
+    if pattern.nnz * 20 > n * m:
+        step = max(1, SAMPLE_BLOCK_BYTES // (8 * m))
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            e = slice(pattern.indptr[r0], pattern.indptr[r1])
+            if pattern._perm is not None:
+                e = pattern._perm[e]
+            at = pattern._flat[e] - r0 * m
+            for d in range(k):
+                out[d, e] = np.take((g[d * n + r0:d * n + r1] @ x.T).ravel(), at)
+    else:
+        step = max(1, SAMPLE_BLOCK_BYTES // (16 * f))
+        for lo in range(0, pattern.nnz, step):
+            e = slice(lo, lo + step)
+            xs = x[pattern.cols[e]]
+            for d in range(k):
+                out[d, e] = np.einsum("ij,ij->i", g[d * n + pattern.rows[e]], xs)
+    return out
+
+
 def spmm(pattern, values, x):
     """Sparse @ dense where the sparse values live on a fixed pattern.
 
-    Gradient flows to both the values and the dense operand.
+    `pattern` is a `StackedOperator` made from `values` (k, nnz), or a
+    `SparsePattern` with (nnz,) values, for which one is made here.
+    Gradient flows to both the values and the dense operand; neither
+    adjoint forms a dense (k*n, m) array for a sparse operator.
     """
+    op = StackedOperator(pattern, np.reshape(val(values), (1, -1))) \
+        if isinstance(pattern, SparsePattern) else pattern
     if not (is_tensor(values) or is_tensor(x)):
-        return pattern.csr(val(values)) @ val(x)
+        return op.mat @ val(x)
     values, x = _wrap2(values, x)
-    if values.value.shape != (pattern.nnz,):
-        raise ShapeError(f"spmm: values shape {values.value.shape} != ({pattern.nnz},)")
-    if pattern.shape[1] != x.value.shape[0]:
-        raise ShapeError(f"spmm: {pattern.shape} @ {x.value.shape}")
-    mat = pattern.csr(values.value)
-    y = mat @ x.value
+    if values.value.size != op.nnz:
+        raise ShapeError(f"spmm: values shape {values.value.shape} holds no {op.nnz} entries")
+    if op.shape[1] != x.value.shape[0]:
+        raise ShapeError(f"spmm: {op.shape} @ {x.value.shape}")
     nv, nx = values.requires_grad, x.requires_grad
-    dense_adjoint = pattern.nnz * 20 > pattern.shape[0] * pattern.shape[1]
 
     def vjp(g):
-        gv = None
-        if nv:
-            if dense_adjoint:  # contract densely, then pick the pattern
-                gv = np.take((g @ x.value.T).ravel(), pattern._flat)
-            else:
-                gv = np.einsum("ij,ij->i", g[pattern.rows], x.value[pattern.cols])
-        gx = mat.T @ g if nx else None  # the CSC view: no transpose is sorted
+        gv = _sampled(op.pattern, g, x.value, op.k).reshape(values.value.shape) \
+            if nv else None
+        gx = op.mat.T @ g if nx else None  # a CSR's CSC view: no transpose is sorted
         return gv, gx
 
-    return _node(y, (values, x), vjp)
+    return _node(op.mat @ x.value, (values, x), vjp)
 
 
 def gather_nd(x, rows, cols, unique=False):
@@ -427,12 +503,15 @@ def relu(a):
 
 
 def leaky_relu(a, slope=0.01):
+    """max(x, slope * x), formed in one buffer: x where x > 0, slope * x
+    elsewhere, for 0 < slope <= 1; at slope 0 also, except that an input
+    of +inf gives nan (0 * inf)."""
+    x = val(a)
+    y = x * slope
+    np.maximum(y, x, out=y)
     if not is_tensor(a):
-        x = val(a)
-        return np.where(x > 0, x, slope * x)
-    x = a.value
-    return _node(np.where(x > 0, x, slope * x), (a,),
-                 lambda g: (np.where(x > 0, g, slope * g),))
+        return y
+    return _node(y, (a,), lambda g: (np.where(x > 0, g, slope * g),))
 
 
 def clip(a, lo, hi):
@@ -678,11 +757,15 @@ def _toposort(out):
 
 
 def backward(out, seed=None):
-    """Accumulate adjoints of `out` into the `.grad` of every reachable node.
+    """Accumulate adjoints of `out` into the `.grad` of every leaf on a
+    path to it.
 
-    `seed` defaults to ones of the output shape. Leaves that do not lie
-    on a path to the output keep `.grad = None`; read them through
-    `grad_or_zero`.
+    `seed` defaults to ones of the output shape. An interior node's
+    adjoint is freed (`.grad = None`) as soon as its vjp has consumed
+    it, so the sweep holds only the frontier of adjoints still to be
+    propagated, not one per node of the tape. Leaves that do not lie on
+    a path to the output keep `.grad = None`; read them through
+    `grad_or_zero`. Running it again on the same tape is allowed.
     """
     if not isinstance(out, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -697,13 +780,16 @@ def backward(out, seed=None):
         node.grad = None
     out.grad = seed
     # adjoints accumulate in place once a node owns a writable private
-    # buffer; views and buffers handed to several parents are never mutated
+    # buffer; views, the caller's seed and buffers handed to several
+    # parents are never mutated
     owned = set()
-    donated = {}  # id(buffer) -> id(parent) it was first handed to
+    donated = {id(seed): id(out)}  # id(buffer) -> id(node) it was last handed to
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+        grads = node._vjp(node.grad)
+        node.grad = None
+        for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:

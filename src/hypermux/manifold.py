@@ -8,9 +8,9 @@ training trace and plain numeric use. Plain-array inputs are domain
 checked; traced inputs are assumed valid (the model checks its
 invariants on values separately).
 
-Numerical guards: ball norms are clamped to <= 1 - BALL_EPS before
-arctanh, arcosh arguments to >= 1 + ACOSH_EPS. Adjoints pass straight
-through the clamps.
+Numerical guards: ball norms are clamped to <= 1 - BALL_EPS after tanh
+and before arctanh, arcosh arguments to >= 1 + ACOSH_EPS. Adjoints
+pass straight through the clamps.
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ def _safe_ratio(fn, r, limit_value=1.0):
 
 
 def poincare_exp0(h):
-    """Exponential map at the ball origin: tanh(|h|) * h / |h|."""
+    """Exponential map at the ball origin: tanh(|h|) * h / |h|, the
+    radius clamped at 1 - BALL_EPS (tanh rounds to 1 from |h| ~ 19.1)."""
     h, sq = _as_rows(h)
     r = ad.row_norm(h)
-    return _maybe_squeeze(ad.mul(h, _safe_ratio(ad.tanh, r)), sq)
+    return _maybe_squeeze(ad.mul(h, _safe_ratio(
+        lambda t: ad.clip(ad.tanh(t), 0.0, 1.0 - BALL_EPS), r)), sq)
 
 
 def poincare_log0(p):

@@ -20,9 +20,13 @@ supports plus the diagonal. Each level is a (D, nnz) array of values on
 that pattern; aggregation is a (D_l x D_{l-1}) product over values and
 re-normalization reduces over the pattern's rows, so memory grows with
 D*nnz rather than D*N^2. For propagation the D matrices act as one
-(D*N, N) vertical block stack, a single product over every dimension:
-sparse on the stacked pattern, or dense when the union fills more than
-`DENSE_UNION_DENSITY` of the N x N entries.
+(D*N, N) vertical block stack, a single product over every dimension.
+A built level makes that operator once, as an `autodiff.StackedOperator`
+shared by the clean and the corrupted pass: a CSR over the union's
+column indices tiled D times, or one dense array when the union fills
+more than `DENSE_UNION_DENSITY` of the N x N entries (so it is under
+four times the level's values). Its adjoints (`autodiff.spmm`) form no
+(D*N, N) array, so training memory grows with D*nnz as well.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ class ModelConfig:
     dim_schedule: tuple | None = None  # resolved against the input D
     leaky_slope: float = 0.01  # sigma is leaky relu; phi is relu
     train_alpha: bool = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ModelConfigError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
     @classmethod
     def for_variant(cls, name, embed_size=96, **kwargs):
@@ -156,9 +164,9 @@ class UnionPattern(ad.SymmetricPattern):
     """One graph's union of input supports plus the diagonal, in CSR order.
 
     Every hierarchy level lives on it. `mode` is the storage of the built
-    levels: "dense" when the union fills more than DENSE_UNION_DENSITY
-    of the N x N entries (a BLAS product then beats a CSR product and
-    its transpose), "sparse" otherwise.
+    levels' operators: "dense" when the union fills more than
+    DENSE_UNION_DENSITY of the N x N entries (a BLAS product then beats
+    a CSR product and its transpose), "sparse" otherwise.
     """
 
     def __init__(self, mats):
@@ -171,7 +179,6 @@ class UnionPattern(ad.SymmetricPattern):
         super().__init__(keys // n, keys % n, n)
         self.density = self.nnz / (n * n)
         self.mode = "dense" if self.density > DENSE_UNION_DENSITY else "sparse"
-        self._stacked = {}
 
     def values_of(self, mats):
         """(D, nnz) values of the given N x N sparse matrices on the pattern."""
@@ -181,14 +188,6 @@ class UnionPattern(ad.SymmetricPattern):
             c = m.tocoo()
             out[d, np.searchsorted(self._flat, c.row.astype(np.int64) * n + c.col)] = c.data
         return out
-
-    def stacked(self, k):
-        """Pattern of k blocks of this one stacked into (k*N, N), built once."""
-        if k not in self._stacked:
-            n = self.shape[0]
-            rows = (np.arange(k, dtype=np.int64)[:, None] * n + self.rows).ravel()
-            self._stacked[k] = ad.SparsePattern(rows, np.tile(self.cols, k), (k * n, n))
-        return self._stacked[k]
 
     def to_dense(self, values):
         """(k, N, N) array of the matrices whose (k, nnz) values are given."""
@@ -201,21 +200,27 @@ class StackedAdjacency:
 
     `values` holds them as a (D, nnz) array over `union`; for propagation
     they act as one (D*N, N) vertical block stack, stored by `mode`:
-           "const"  - input level, the normalized inputs as scipy CSR,
-                      never traced;
-           "dense"  - traced values scattered into a dense Tensor;
-           "sparse" - traced values on the union's stacked `SparsePattern`.
+           "const"  - input level, the normalized inputs as scipy CSR
+                      (`csr`), never traced;
+           "dense"  - traced values; `op` is their filled (D*N, N) array;
+           "sparse" - traced values; `op` is their CSR over the union's
+                      column indices tiled D times.
+    A built level makes its `ad.StackedOperator` once, and the clean and
+    the corrupted pass both multiply by it through `ad.spmm`, whose
+    adjoints form no (D*N, N) array.
     """
 
-    def __init__(self, union, values, mode, csr=None, dense=None, pattern=None):
+    def __init__(self, union, values, mode, csr=None, op=None):
         self.union = union
         self.n = union.shape[0]
         self.n_blocks = val(values).shape[0]
         self.values = values
         self.mode = mode
         self.csr = csr
-        self.dense = dense
-        self.pattern = pattern
+        self.op = op
+
+    # the operator under the names benchmarks/tracing.py reads per mode
+    pattern = dense = property(lambda self: self.op)
 
     @classmethod
     def from_csr_list(cls, mats, union):
@@ -225,28 +230,23 @@ class StackedAdjacency:
 
     @classmethod
     def built(cls, union, values):
-        """A traced level, stored as the union's `mode` says."""
-        k, n = val(values).shape[0], union.shape[0]
-        if union.mode == "dense":
-            return cls(union, values, "dense",
-                       dense=ad.reshape(union.to_dense(values), (k * n, n)))
-        return cls(union, values, "sparse", pattern=union.stacked(k))
+        """A traced level, its operator stored as the union's `mode` says."""
+        return cls(union, values, union.mode,
+                   op=ad.StackedOperator(union, values, dense=union.mode == "dense"))
 
     def matmul(self, x):
         """(D*N, N) @ (N, F): propagation through every block at once."""
         if self.mode == "const":
             return ad.spmm_const(self.csr, self.csr.T, x)
-        if self.mode == "dense":
-            return ad.matmul(self.dense, x)
-        return ad.spmm(self.pattern, ad.reshape(self.values, (-1,)), x)
+        return ad.spmm(self.op, self.values, x)
 
 
 def prepare_adjacencies(graph, config: ModelConfig | None = None):
     """Normalize every input dimension once, at load time, and stack them.
 
     Also fixes the graph's union pattern and, given the model `config`,
-    the stacked patterns of the levels its schedule propagates through
-    (every built level but the last), so no epoch builds them.
+    the stacked CSR index arrays of the levels its schedule propagates
+    through (every built level but the last), so no epoch builds them.
     """
     mats = [normalize_adjacency(a) for a in graph.dims]
     union = UnionPattern(mats)

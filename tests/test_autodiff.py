@@ -272,12 +272,81 @@ def test_sparse_adjoints_match_transpose_products():
     assert np.abs(x.grad - dense.T @ g).max() < 1e-12
     assert np.abs(values.grad - (g @ x.value.T)[pattern.rows, pattern.cols]).max() < 1e-12
 
-    mat = pattern.csr(values.value)
+    mat = ad.StackedOperator(pattern, values.value[None]).mat
     x_const = ad.leaf(x.value)
     ad.backward(ad.spmm_const(mat, mat.T, x_const), g)
     assert np.abs(x_const.grad - dense.T @ g).max() < 1e-12
     # the CSC view adds each row's terms in a sorted transpose's order
     assert np.array_equal(mat.T @ g, mat.T.tocsr() @ g)
+
+
+def _operator_case(kind, density, rng, n=30, m=24, k=3, shuffled=False):
+    rows, cols = np.nonzero(rng.random((n, m)) < density)
+    order = rng.permutation(rows.size) if shuffled else slice(None)
+    pattern = ad.SparsePattern(rows[order], cols[order], (n, m))
+    values = rng.normal(size=(k, pattern.nnz))
+    return pattern, ad.StackedOperator(pattern, values, dense=kind == "dense"), values
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+@pytest.mark.parametrize("density", [0.4, 0.03], ids=["blas-rows", "per-entry"])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["csr-order", "shuffled"])
+def test_spmm_values_adjoint_is_sampled_product(kind, density, shuffled, monkeypatch):
+    rng = np.random.default_rng(25)
+    pattern, op, values = _operator_case(kind, density, rng, shuffled=shuffled)
+    assert (pattern._perm is None) == (not shuffled)
+    n, m = pattern.shape
+    assert (pattern.nnz * 20 > n * m) == (density == 0.4)  # the kernel switch
+    # 640 bytes: one row per BLAS block, ten entries per gathered block
+    monkeypatch.setattr(ad, "SAMPLE_BLOCK_BYTES", 640)
+    vals = ad.leaf(values)
+    x = ad.leaf(rng.normal(size=(m, 4)))
+    g = rng.normal(size=(3 * n, 4))
+    stack = np.concatenate([pattern.to_dense(v) for v in values])
+    out = ad.spmm(op, vals, x)
+    assert op.shape == (3 * n, m) and op.nnz == 3 * pattern.nnz
+    assert np.abs(out.value - stack @ x.value).max() < 1e-12
+    ad.backward(out, g)
+    assert np.abs(x.grad - stack.T @ g).max() < 1e-12
+    full = g @ x.value.T
+    for d in range(3):
+        want = full[d * n + pattern.rows, pattern.cols]
+        assert np.abs(vals.grad[d] - want).max() < 1e-12
+
+
+def test_stacked_operator_shares_the_values_and_cached_indices():
+    rng = np.random.default_rng(26)
+    pattern, op, values = _operator_case("sparse", 0.3, rng)
+    assert pattern._perm is None  # np.nonzero lists entries in CSR order
+    assert np.shares_memory(op.mat.data, values)
+    again = ad.StackedOperator(pattern, values + 1.0)
+    assert again.indices is op.indices and again.indptr is op.indptr
+    assert op.indices.dtype == op.indptr.dtype == np.int32
+    dense = ad.StackedOperator(pattern, values, dense=True)
+    assert np.array_equal(dense.value, op.mat.toarray())
+
+
+def test_backward_leaves_the_seed_untouched():
+    # add hands the seed to both operands, and the second adds onto the first
+    x = ad.leaf(np.ones(3))
+    seed = np.full(3, 2.0)
+    ad.backward(ad.add(x, x), seed)
+    assert np.array_equal(seed, [2.0, 2.0, 2.0])
+    assert np.array_equal(x.grad, [4.0, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+def test_leaky_relu_matches_where_oracle(slope):
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5,
+                  5e-324, -5e-324, 1e308, -1e308])
+    if slope == 0.0:
+        x = x[x != np.inf]  # 0 * inf is nan, where the oracle passes inf
+    with np.errstate(invalid="ignore"):
+        want = np.where(x > 0, x, slope * x)
+        got = ad.leaky_relu(x, slope)
+        traced = ad.leaky_relu(ad.leaf(x), slope).value
+    assert got.tobytes() == want.tobytes()
+    assert traced.tobytes() == want.tobytes()
 
 
 def test_evaluation_is_deterministic():

@@ -1,6 +1,8 @@
 """The benchmark's tracer (benchmarks/tracing.py) must still install on the
 package: it looks up every function it wraps by name and raises on a missing
-one, so a deletion that breaks `benchmarks/run.py --trace 1` fails here."""
+one, so a deletion that breaks `benchmarks/run.py --trace 1` fails here. It
+runs a forward and backward pass on a dense-union and a sparse-union graph, so
+its level and cost accounting read both storage kinds of a built level."""
 
 import importlib
 import sys
@@ -24,6 +26,18 @@ def _state(mods, owners):
 
 
 def test_tracer_installs_records_and_restores(monkeypatch):
+    # union density 0.19: the built level is sparse
+    _trace_forward_backward(monkeypatch, GenParams(n_nodes=20, n_clusters=2, n_dims=3,
+                                                   seed=1), "sparse")
+
+
+def test_tracer_reads_dense_union_levels(monkeypatch):
+    # union density 0.725: the built level is one dense array
+    _trace_forward_backward(monkeypatch, GenParams(n_nodes=20, n_clusters=2, n_dims=3,
+                                                   p_in=0.9, p_out=0.2, seed=1), "dense")
+
+
+def _trace_forward_backward(monkeypatch, params, mode):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
     tracing = importlib.import_module("tracing")
@@ -32,7 +46,7 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     owners = [(tr.Adam, "step"), (mdl.StackedAdjacency, "matmul")]
     before = _state(mods, owners)
 
-    g = generate(GenParams(n_nodes=20, n_clusters=2, n_dims=3, seed=1)).graph
+    g = generate(params).graph
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4)
     params = mdl.init_params(g.n_dims, g.n_features, cfg, seed=0)
     tracer = tracing.Tracer(mods).install()
@@ -45,7 +59,12 @@ def test_tracer_installs_records_and_restores(monkeypatch):
 
     names = {span[0] for span in tracer.spans}
     assert {"model.forward", "model.build_hierarchy", "model.propagate",
-            "autodiff.backward", "autodiff.spmm_const", "autodiff.block_matmul.vjp"} <= names
+            "autodiff.backward", "autodiff.spmm_const", "autodiff.block_matmul.vjp",
+            "autodiff.spmm", "autodiff.spmm.vjp"} <= names
+    # the level and cost accounting read the built level's storage
+    assert tracer.levels[f"model.levels.{mode}"] == 1
+    assert tracer.levels["model.level_bytes"] > 0
+    assert tracer.counts["autodiff.spmm.flops"] > 0 and tracer.counts["autodiff.spmm.bytes"] > 0
     after = _state(mods, owners)
     assert after[0].keys() == before[0].keys()
     assert all(after[0][k] is obj for k, obj in before[0].items())

@@ -164,6 +164,20 @@ def test_retired_storage_keys_exit_one(tmp_path, capsys, key):
     assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slope", [1.5, -0.1])
+def test_leaky_slope_outside_unit_interval_exits_one(tmp_path, capsys, slope):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    capsys.readouterr()
+    code = run(["train", "--graph", str(graph_dir), "--epochs", "1",
+                "--config", str(_config(tmp_path, {"model.leaky_slope": slope})),
+                "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "leaky_slope" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+
 def _with_retired_keys(checkpoint, target):
     """Copy of a checkpoint whose header also holds the retired model keys,
     as checkpoints written before the hierarchy moved to the union pattern do."""

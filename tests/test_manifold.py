@@ -65,6 +65,24 @@ def test_poincare_roundtrip():
     assert np.allclose(mf.poincare_log0(mf.poincare_exp0(h)), h, atol=1e-9)
 
 
+def test_poincare_exp0_clamps_the_ball_radius():
+    # tanh rounds to 1 from |h| ~ 19.1; the lift stays inside the open ball
+    far = mf.lift(np.array([[20.0, 0.0, 0.0]]), mf.POINCARE)
+    assert np.linalg.norm(far) < 1.0
+    score = mf.fermi_dirac_score(far, mf.lift(np.array([[3.0, 0.0, 0.0]]), mf.POINCARE))
+    assert np.all(np.isfinite(score))
+    # below arctanh(1 - BALL_EPS) the clamp changes no bit
+    limit = np.arctanh(1.0 - mf.BALL_EPS)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(200, 4))
+    r = rng.uniform(0.0, limit, size=(200, 1))
+    r[:3, 0] = [1e-3, 8.4, np.nextafter(limit, 0.0)]
+    h *= r / np.linalg.norm(h, axis=1, keepdims=True)
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    assert norms.max() < limit
+    assert np.array_equal(mf.poincare_exp0(h), h * (np.tanh(norms) / norms))
+
+
 def test_poincare_log0_domain_error():
     with pytest.raises(mf.ManifoldDomainError):
         mf.poincare_log0(np.array([1.2, 0.0]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -305,6 +307,75 @@ def test_end_to_end_gradcheck_sparse_levels():
     # the sparse level's values, so sampling could miss them
     n_coords = sum(v.size for v in inputs.values())
     assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=n_coords) < 1e-4
+
+
+def _dgi_loss(graph, cfg, seed=0):
+    """One epoch's traced loss, as `train` builds it."""
+    level0 = mdl.prepare_adjacencies(graph, cfg)
+    params = mdl.init_params(graph.n_dims, graph.n_features, cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in params.layers:  # off-uniform, so alpha's adjoint is generic
+        layer.alpha_logits.value[:] = rng.normal(size=layer.alpha_logits.shape)
+    hier = mdl.build_hierarchy(level0, params, cfg)
+    z, _ = mdl.propagate(hier, graph.features, params, cfg)
+    zh, _ = mdl.propagate(hier, corrupt_features(graph.features, 7), params, cfg)
+    loss = ad.neg(tr.dgi_objective(z, zh, tr.init_discriminator(cfg.embed_size)))
+    return loss, hier
+
+
+def keep_all_backward(out):
+    """Reference sweep: every node keeps its adjoint, none adds in place."""
+    grads = {id(out): np.ones_like(out.value)}
+    for node in reversed(ad._toposort(out)):
+        g = grads.get(id(node))
+        if node._vjp is None or g is None:
+            continue
+        for parent, gp in zip(node._parents, node._vjp(g)):
+            if gp is not None and parent.requires_grad:
+                grads[id(parent)] = gp if id(parent) not in grads else grads[id(parent)] + gp
+    return grads
+
+
+@pytest.mark.parametrize("p_in, mode", [(0.15, "sparse"), (0.9, "dense")])
+def test_backward_frees_interior_adjoints(p_in, mode):
+    graph = generate(GenParams(n_nodes=60, n_clusters=3, n_dims=4, p_in=p_in,
+                               p_out=0.02, seed=8)).graph
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=5)
+    loss, hier = _dgi_loss(graph, cfg)
+    assert [lv.mode for lv in hier.levels] == ["const", mode]
+    ad.backward(loss)
+    nodes = ad._toposort(loss)
+    leaves = [t for t in nodes if t._vjp is None]
+    assert all(t.grad is None for t in nodes if t._vjp is not None)
+    # layer 2's alpha builds only the last aggregate, which no layer reads
+    assert sorted(t.name for t in leaves) == sorted(
+        [f"layer1.W{d}" for d in range(4)] + ["layer1.alpha", "layer1.beta", "layer2.W0",
+                                              "layer2.W1", "layer2.beta", "Q"])
+    got = [t.grad.copy() for t in leaves]
+    want = keep_all_backward(loss)
+    assert all(np.array_equal(a, want[id(t)]) for a, t in zip(got, leaves))
+    ad.backward(loss)  # the same tape again gives the same gradients
+    assert all(np.array_equal(a, t.grad) for a, t in zip(got, leaves))
+
+
+def test_backward_memory_stays_below_one_stacked_level():
+    # sparse union (density ~0.08, above the 5% switch of the sampled
+    # product): the parent of this change held the (k*N, N) values
+    # adjoint and every interior adjoint after the sweep
+    graph = generate(GenParams(n_nodes=600, n_clusters=5, n_dims=6, p_in=0.15,
+                               p_out=0.015, seed=2)).graph
+    loss, hier = _dgi_loss(graph, mdl.ModelConfig(n_layers=2, embed_size=16))
+    level = hier.levels[1]
+    assert level.mode == "sparse" and level.n_blocks == 3
+    one_level = level.n_blocks * 600 * 600 * 8
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_level
+    assert after < 1 << 20
 
 
 def test_history_csv_format(tmp_path):
