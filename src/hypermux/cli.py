@@ -150,7 +150,7 @@ def _train_config(resolved):
         patience=int(resolved["train.patience"]),
         min_delta=float(resolved["train.min_delta"]),
         telemetry=bool(resolved["train.telemetry"]),
-        seed=int(resolved["seed"]))
+        seed=int(resolved["seed"])).validate()
 
 
 def _write_embeddings_csv(path, z_tangent):
@@ -207,10 +207,11 @@ def _cmd_train(args):
         "train.epochs": args.epochs, "train.patience": args.patience,
         "train.telemetry": True if args.telemetry else None, "seed": args.seed,
     })
+    model_config, train_config = _model_config(resolved), _train_config(resolved)
+    graph = load_multiplex(args.graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model_config = _model_config(resolved)
-    outcome = train(load_multiplex(args.graph), model_config, _train_config(resolved))
+    outcome = train(graph, model_config, train_config)
     mdl.save_checkpoint(out / "checkpoint.npz", outcome.params,
                         outcome.discriminator, model_config,
                         meta={"seed": resolved["seed"],
@@ -338,18 +339,20 @@ def _cmd_ablate(args):
         "train.epochs": args.epochs, "seed": args.seed,
     })
     _check_seeds(args.seeds)
+    embed = int(resolved["model.embed"])
+    configs = {variant: mdl.ModelConfig.for_variant(variant, embed_size=embed)
+               for variant in ABLATION_VARIANTS}
+    train_config = _train_config(resolved)
     graph = load_multiplex(args.graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ratio = float(resolved["eval.test_ratio"])
     rows = []
-    for variant in ABLATION_VARIANTS:
+    for variant, config in configs.items():
         for s in range(args.seeds):
             run_seed = derive_seed(int(resolved["seed"]), 91, s)
             split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=run_seed)
-            config = mdl.ModelConfig.for_variant(
-                variant, embed_size=int(resolved["model.embed"]))
-            tc = replace(_train_config(resolved), seed=run_seed)
+            tc = replace(train_config, seed=run_seed)
             outcome = train(split.train_graph, config, tc)
             auc, ap = ev.link_prediction_eval(
                 outcome.z_final, split, kind=config.manifold,

@@ -7,12 +7,14 @@ average precision. Hyperbolic embeddings are scored with the
 Fermi-Dirac decoder; euclidean ones with the sigmoid of the dot
 product. Node classification maps embeddings to tangent coordinates and
 fits an in-repo multinomial logistic regression (one-vs-rest for
-multi-label graphs).
+multi-label graphs), minimized by L-BFGS with Armijo backtracking until
+the gradient's 2-norm falls below `tol`.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,17 +108,14 @@ def auc_ap(scores, labels):
         raise EvalError("both classes must be present")
 
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty_like(scores)
     sorted_scores = scores[order]
-    i = 0
-    pos = 1.0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (pos + (pos + j - i)) / 2.0  # midrank for ties
-        pos += j - i + 1
-        i = j + 1
+    # tie groups of the sorted scores; NaN != NaN, so each NaN is its own
+    starts = np.flatnonzero(np.concatenate(
+        [[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    ends = np.append(starts[1:], scores.size)  # exclusive
+    ranks = np.empty_like(scores)
+    # midrank (start + end) / 2 in 1-based positions: exact half-integers
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     auc = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
     desc = np.argsort(-scores, kind="stable")
@@ -202,32 +201,68 @@ def _softmax_rows(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+_LBFGS_MEMORY = 10  # (s, y) pairs kept for the inverse-Hessian estimate
+
+
 def _fit_linear(n_params, loss_grad, max_iter=5000, tol=1e-5):
-    """Backtracking gradient descent; the objective decreases monotonically.
+    """L-BFGS from zero (Liu & Nocedal, 1989); the objective never rises.
 
     `loss_grad(params) -> (loss, grad)` must be the mean loss over rows
     plus the l2 penalty, so duplicated rows leave the optimum unchanged.
+    Each iteration takes the two-loop direction over the last
+    `_LBFGS_MEMORY` pairs with s·y > 0 (restarting from -grad when that
+    is not a descent direction) and backtracks from step 1 until the
+    Armijo condition holds. Stops when ‖grad‖₂ < `tol`, after `max_iter`
+    iterations, or, keeping the current point, when backtracking finds
+    no sufficient decrease.
     """
     params = np.zeros(n_params)
     loss, grad = loss_grad(params)
-    step = 1.0
+    pairs = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s·y), oldest first
     for _ in range(max_iter):
-        gnorm = np.linalg.norm(grad)
-        if gnorm < tol:
+        if np.linalg.norm(grad) < tol:
             break
-        while step > 1e-12:
-            cand = params - step * grad
+        direction = _lbfgs_direction(grad, pairs)
+        slope = grad @ direction
+        if not slope < 0:
+            pairs.clear()
+            direction, slope = -grad, -(grad @ grad)
+        step = 1.0
+        while True:
+            cand = params + step * direction
             cand_loss, cand_grad = loss_grad(cand)
-            if cand_loss <= loss - 1e-4 * step * gnorm * gnorm:
+            if cand_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
+            if step < 1e-12:
+                return params
+        s, y = cand - params, cand_grad - grad
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
         params, loss, grad = cand, cand_loss, cand_grad
-        step = min(step * 2.0, 1e3)
     return params
 
 
+def _lbfgs_direction(grad, pairs):
+    """-H·grad by the two-loop recursion, H0 scaled by s·y / y·y."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return -q
+
+
 def fit_logreg(embeddings, labels, l2=1e-4, max_iter=5000, tol=1e-5) -> Classifier:
-    """Multinomial logistic regression (one-vs-rest when multi-label)."""
+    """Multinomial logistic regression (one-vs-rest when multi-label),
+    fit by `_fit_linear`'s L-BFGS to a gradient 2-norm below `tol`."""
     x = np.asarray(embeddings, dtype=np.float64)
     label_sets = [set(l) if isinstance(l, (list, tuple, set)) else {int(l)}
                   for l in labels]
@@ -251,7 +286,8 @@ def fit_logreg(embeddings, labels, l2=1e-4, max_iter=5000, tol=1e-5) -> Classifi
             logits = xb @ w.T
             p = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
             eps = 1e-12
-            nll = -(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)).mean()
+            # one binary problem per class: sum over classes, mean over rows
+            nll = -(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)).sum() / n
             penalty = 0.5 * l2 * (w[:, :-1] ** 2).sum()
             g = ((p - y).T @ xb) / n
             g[:, :-1] += l2 * w[:, :-1]

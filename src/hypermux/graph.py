@@ -252,6 +252,10 @@ def load_multiplex(path) -> MultiplexGraph:
         if features.shape != (n, f):
             raise GraphFormatError(
                 f"{feat_file}: shape {features.shape} != meta ({n}, {f})")
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if bad.size:
+            raise GraphFormatError(
+                f"{feat_file}: row {bad[0] + 1} holds a non-finite value")
     else:
         if f != d:
             raise GraphFormatError(

@@ -175,7 +175,32 @@ def test_leaky_slope_outside_unit_interval_exits_one(tmp_path, capsys, slope):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "leaky_slope" in err and "Traceback" not in err
-    assert not (tmp_path / "run" / "checkpoint.npz").exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "diagnose", "eval"])
+def test_non_finite_feature_exits_one(tmp_path, capsys, command):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    checkpoint = tmp_path / "run" / "checkpoint.npz"
+    assert run(["train", "--graph", str(graph_dir), "--embed", "4", "--epochs", "1",
+                "--out", str(checkpoint.parent)]) == 0
+    feat_file = graph_dir / "features.csv"
+    rows = feat_file.read_text().splitlines()
+    rows[6] = ",".join(["nan"] + rows[6].split(",")[1:])
+    feat_file.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--graph", str(graph_dir), "--epochs", "1",
+                      "--out", str(out)],
+            "diagnose": ["diagnose", "--checkpoint", str(checkpoint),
+                         "--graph", str(graph_dir), "--out", str(out / "geo.json")],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--graph", str(graph_dir),
+                     "--out", str(out / "metrics.json")]}[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {feat_file}: row 7 holds a non-finite value\n"
+    assert not out.exists()
 
 
 def _with_retired_keys(checkpoint, target):
@@ -314,8 +339,9 @@ def test_byte_identical_reruns(tmp_path):
     "train --graph {g} --epochs 0 --out {out}",
     "train --graph {g} --lr -1 --out {out}",
     "ablate --graph {g} --seeds 0 --out {out}",
+    "ablate --graph {g} --epochs 0 --out {out}",
 ], ids=["d-not-int", "d-step-0", "d-empty", "d-zero", "sweep-seeds-0", "sweep-epochs-0",
-        "train-epochs-0", "train-lr-negative", "ablate-seeds-0"])
+        "train-epochs-0", "train-lr-negative", "ablate-seeds-0", "ablate-epochs-0"])
 def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir))
@@ -323,7 +349,7 @@ def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
     assert run(argv.format(g=graph_dir, out=tmp_path / "out").split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 
 def _csv_rows(path):
