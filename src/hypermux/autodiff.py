@@ -7,21 +7,22 @@ also records a closure mapping the output adjoint onto the input
 adjoints. `backward` replays the closures in reverse topological order
 and frees each interior node's adjoint once its closure has consumed
 it, so a sweep holds the tape's values plus the adjoints still to be
-propagated; afterwards only leaves hold `.grad`.
+propagated; afterwards only leaves hold `.grad`. A node reached along
+several paths gets the sum of their adjoints as a new array; no adjoint
+is updated in place.
 
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
-values living on a fixed sparsity pattern (`SparsePattern`, and
-`SymmetricPattern` + `normalize_blocks` for degree normalization).
-`spmm` multiplies by a `StackedOperator`: the values of k matrices on
-one pattern as their (k*n, m) block stack, CSR or dense, made once and
-shared by every product with those values. Its values adjoint, g @ x.T
-sampled on the pattern, is formed a block of rows at a time, so no
-adjoint is a dense (k*n, m) array. The adjoint of a sparse product
-w.r.t. its dense operand multiplies by the CSC view `.T` of the CSR
-matrix, so no pattern sorts its transpose; scipy sums each output row's
-terms in the same ascending order as a sorted CSR transpose would, so
-the result is the same to the bit.
+values living on a fixed `SymmetricPattern` (`normalize_blocks` for
+degree normalization). `spmm` multiplies by a `StackedOperator`: the
+values of k matrices on one pattern as their (k*n, n) block stack, CSR
+or dense, made once and shared by every product with those values. Its
+values adjoint, g @ x.T sampled on the pattern, is formed a block of
+rows at a time, so no adjoint is a dense (k*n, n) array. The adjoint of
+a sparse product w.r.t. its dense operand multiplies by the CSC view
+`.T` of the CSR matrix, so no pattern sorts its transpose; scipy sums
+each output row's terms in the same ascending order as a sorted CSR
+transpose would, so the result is the same to the bit.
 
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
@@ -206,49 +207,46 @@ def power(a, exponent):
 
 
 def matmul(a, b):
+    """Matrix product of two 2-d operands."""
     if not (is_tensor(a) or is_tensor(b)):
         return val(a) @ val(b)
     a, b = _wrap2(a, b)
     av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
     na, nb = a.requires_grad, b.requires_grad  # skip adjoints nobody needs
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        return _node(av @ bv, (a, b),
-                     lambda g: (g @ bv.T if na else None, av.T @ g if nb else None))
-    if av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        return _node(av @ bv, (a, b),
-                     lambda g: (np.outer(g, bv) if na else None, av.T @ g if nb else None))
-    if av.ndim == 1 and bv.ndim == 1:
-        if av.shape[0] != bv.shape[0]:
-            raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-        return _node(av @ bv, (a, b), lambda g: (g * bv, g * av))
-    raise ShapeError(f"matmul: unsupported ranks {av.ndim} @ {bv.ndim}")
+    return _node(av @ bv, (a, b),
+                 lambda g: (g @ bv.T if na else None, av.T @ g if nb else None))
 
 
-class SparsePattern:
-    """Fixed sparsity pattern (COO index pairs) with precomputed CSR plumbing.
+class SymmetricPattern:
+    """Fixed square sparsity pattern, closed under transposition, that
+    holds the diagonal; only the values on it may be traced.
 
-    The pattern itself is constant; only the values on it may be traced.
-    `_perm` orders the entries by (row, col); it is None when they are
-    in that order already, as every `SymmetricPattern`'s are.
+    Entries are in CSR order (row-major, columns ascending, no repeats).
+    `indptr[i]` is where row i starts, `diag[i]` the position of (i, i)
+    and `mirror[e]` the position of entry e's transpose.
     """
 
-    def __init__(self, rows, cols, shape):
+    def __init__(self, rows, cols, n):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.shape = tuple(shape)
+        self.n = n
         if self.rows.shape != self.cols.shape or self.rows.ndim != 1:
-            raise ShapeError("SparsePattern: rows/cols must be equal-length 1-d")
-        n, m = self.shape
-        self._flat = self.rows * m + self.cols  # row-major offsets in the dense matrix
-        # a stable sort of one int64 key orders like a lexsort by (row, col)
-        self._perm = None if np.all(np.diff(self._flat) > 0) else \
-            np.argsort(self._flat, kind="stable")
+            raise ShapeError("SymmetricPattern: rows/cols must be equal-length 1-d")
+        self._flat = self.rows * n + self.cols  # row-major offsets in the dense matrix
+        if np.any(np.diff(self._flat) <= 0):
+            raise ShapeError("SymmetricPattern: entries must be in CSR order, no repeats")
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows, minlength=n), out=self.indptr[1:])
+        # the transpose's CSR order lists the mirror images of the entries
+        self.mirror = np.argsort(self.cols * n + self.rows, kind="stable")
+        if not (np.array_equal(self.rows[self.mirror], self.cols)
+                and np.array_equal(self.cols[self.mirror], self.rows)):
+            raise ShapeError("SymmetricPattern: pattern is not symmetric")
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        if self.diag.size != n:
+            raise ShapeError("SymmetricPattern: pattern must hold the whole diagonal")
         self._stacked = {}
 
     @property
@@ -259,39 +257,19 @@ class SparsePattern:
         """int32 (indices, indptr) of the CSR stack of k copies, built once."""
         if k not in self._stacked:
             if k * self.nnz >= 2**31:
-                raise ShapeError(f"SparsePattern: {k} x {self.nnz} entries overflow int32")
-            cols = self.cols if self._perm is None else self.cols[self._perm]
+                raise ShapeError(f"SymmetricPattern: {k} x {self.nnz} entries overflow int32")
             starts = np.arange(k, dtype=np.int32)[:, None] * self.nnz + self.indptr[:-1]
-            self._stacked[k] = (np.tile(cols.astype(np.int32), k),
+            self._stacked[k] = (np.tile(self.cols.astype(np.int32), k),
                                 np.append(starts.ravel(), np.int32(k * self.nnz)))
         return self._stacked[k]
 
     def to_dense(self, values):
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = values
+        """The (n, n) matrix of (nnz,) values, or the (k, n, n) stack of
+        (k, nnz) values."""
+        values = val(values)
+        out = np.zeros(values.shape[:-1] + (self.n, self.n))
+        out[..., self.rows, self.cols] = values
         return out
-
-
-class SymmetricPattern(SparsePattern):
-    """Square pattern closed under transposition that holds the diagonal.
-
-    Entries are in CSR order (row-major, columns ascending, no repeats).
-    `indptr[i]` is where row i starts, `diag[i]` the position of (i, i)
-    and `mirror[e]` the position of entry e's transpose.
-    """
-
-    def __init__(self, rows, cols, n):
-        super().__init__(rows, cols, (n, n))
-        if np.any(np.diff(self._flat) <= 0):
-            raise ShapeError("SymmetricPattern: entries must be in CSR order, no repeats")
-        # the transpose's CSR order lists the mirror images of the entries
-        self.mirror = np.argsort(self.cols * n + self.rows, kind="stable")
-        if not (np.array_equal(self.rows[self.mirror], self.cols)
-                and np.array_equal(self.cols[self.mirror], self.rows)):
-            raise ShapeError("SymmetricPattern: pattern is not symmetric")
-        self.diag = np.flatnonzero(self.rows == self.cols)
-        if self.diag.size != n:
-            raise ShapeError("SymmetricPattern: pattern must hold the whole diagonal")
 
 
 def spmm_const(mat, mat_t, x):
@@ -309,30 +287,27 @@ def spmm_const(mat, mat_t, x):
 
 
 class StackedOperator:
-    """k matrices with values on one `SparsePattern`, acting as their
-    (k*n, m) vertical block stack.
+    """k matrices with values on one `SymmetricPattern`, acting as their
+    (k*n, n) vertical block stack.
 
     Made once from the (k, nnz) values and shared by every `spmm` with
     them: `mat` is a CSR matrix over the pattern's cached stacked
-    `indices`/`indptr` whose data are the values themselves (no copy
-    for a pattern in CSR order), or, with `dense`, the filled float64
-    array `value`. `nnz` and `shape` describe the stack.
+    `indices`/`indptr` whose data are the values themselves (no copy),
+    or, with `dense`, the filled float64 array `value`. `nnz` and
+    `shape` describe the stack.
     """
 
     def __init__(self, pattern, values, dense=False):
         values = val(values)
-        k, (n, m) = values.shape[0], pattern.shape
+        k, n = values.shape[0], pattern.n
         self.pattern, self.k = pattern, k
-        self.shape = (k * n, m)
+        self.shape = (k * n, n)
         self.nnz = k * pattern.nnz
         if dense:
-            flat = np.zeros((k, n * m))
-            flat[:, pattern._flat] = values
-            self.value = self.mat = flat.reshape(self.shape)
+            self.value = self.mat = pattern.to_dense(values).reshape(self.shape)
         else:
             self.indices, self.indptr = pattern.stacked(k)
-            data = values if pattern._perm is None else values[:, pattern._perm]
-            self.mat = sps.csr_matrix((data.reshape(-1), self.indices, self.indptr),
+            self.mat = sps.csr_matrix((values.reshape(-1), self.indices, self.indptr),
                                       shape=self.shape)
 
 
@@ -348,16 +323,14 @@ def _sampled(pattern, g, x, k):
     (a sampled dense-dense product), or, below 5% density, row pairs
     gathered per block of entries.
     """
-    (n, m), f = pattern.shape, x.shape[1]
+    n, f = pattern.n, x.shape[1]
     out = np.empty((k, pattern.nnz))
-    if pattern.nnz * 20 > n * m:
-        step = max(1, SAMPLE_BLOCK_BYTES // (8 * m))
+    if pattern.nnz * 20 > n * n:
+        step = max(1, SAMPLE_BLOCK_BYTES // (8 * n))
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             e = slice(pattern.indptr[r0], pattern.indptr[r1])
-            if pattern._perm is not None:
-                e = pattern._perm[e]
-            at = pattern._flat[e] - r0 * m
+            at = pattern._flat[e] - r0 * n
             for d in range(k):
                 out[d, e] = np.take((g[d * n + r0:d * n + r1] @ x.T).ravel(), at)
     else:
@@ -370,16 +343,13 @@ def _sampled(pattern, g, x, k):
     return out
 
 
-def spmm(pattern, values, x):
+def spmm(op, values, x):
     """Sparse @ dense where the sparse values live on a fixed pattern.
 
-    `pattern` is a `StackedOperator` made from `values` (k, nnz), or a
-    `SparsePattern` with (nnz,) values, for which one is made here.
+    `op` is the `StackedOperator` made from the (k, nnz) `values`.
     Gradient flows to both the values and the dense operand; neither
-    adjoint forms a dense (k*n, m) array for a sparse operator.
+    adjoint forms a dense (k*n, n) array for a sparse operator.
     """
-    op = StackedOperator(pattern, np.reshape(val(values), (1, -1))) \
-        if isinstance(pattern, SparsePattern) else pattern
     if not (is_tensor(values) or is_tensor(x)):
         return op.mat @ val(x)
     values, x = _wrap2(values, x)
@@ -779,32 +749,14 @@ def backward(out, seed=None):
     for node in topo:
         node.grad = None
     out.grad = seed
-    # adjoints accumulate in place once a node owns a writable private
-    # buffer; views, the caller's seed and buffers handed to several
-    # parents are never mutated
-    owned = set()
-    donated = {id(seed): id(out)}  # id(buffer) -> id(node) it was last handed to
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
         node.grad = None
         for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g
-                previous = donated.get(id(g))
-                if previous is not None:
-                    owned.discard(previous)  # buffer is shared, nobody mutates it
-                elif g.base is None and g.flags.writeable:
-                    owned.add(id(parent))
-                donated[id(g)] = id(parent)
-            elif id(parent) in owned:
-                parent.grad += g
-            else:
-                parent.grad = parent.grad + g
-                owned.add(id(parent))
+            if g is not None and parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
     return out
 
 

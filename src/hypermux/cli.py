@@ -72,14 +72,36 @@ DEFAULTS = {
 }
 
 
+def _check_type(key, value):
+    """Reject a value whose type does not match the key's default: ints pass
+    for floats, only bools for bools, any number where the default is None."""
+    default = DEFAULTS[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        ok, kind = value is None or number, "a number or null"
+    elif isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, kind = number, "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
 def resolve_config(config_file=None, overrides=None):
-    """defaults < file < overrides, rejecting unknown keys by name."""
+    """defaults < file < overrides, rejecting unknown keys by name and
+    values whose type does not match the key's default."""
     resolved = dict(DEFAULTS)
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {config_file} must hold a JSON object")
         unknown = sorted(set(loaded) - set(DEFAULTS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -89,6 +111,8 @@ def resolve_config(config_file=None, overrides=None):
             raise ConfigError(f"unknown config keys: {key}")
         if value is not None:
             resolved[key] = value
+    for key, value in resolved.items():
+        _check_type(key, value)
     if resolved["seed"] is None:
         resolved["seed"] = int(os.environ.get("HYPERMUX_SEED", "0"))
     if resolved["model.manifold"] not in MANIFOLDS:
@@ -140,6 +164,16 @@ def _model_config(resolved):
         manifold=resolved["model.manifold"],
         leaky_slope=float(resolved["model.leaky_slope"]))
     return cfg
+
+
+def _variant_configs(resolved, variants):
+    """Model config of each named variant: the variant fixes the manifold,
+    the layer count and whether alpha trains; the embed size and the slope
+    come from the resolved config."""
+    return {name: mdl.ModelConfig.for_variant(
+                name, embed_size=int(resolved["model.embed"]),
+                leaky_slope=float(resolved["model.leaky_slope"]))
+            for name in variants}
 
 
 def _train_config(resolved):
@@ -317,7 +351,7 @@ def _cmd_sweep(args):
             raise ConfigError(f"unknown model variant {m!r}; "
                               f"choose from {sorted(mdl.MODEL_VARIANTS)}")
     rows, failures = geo.sweep(
-        specs, models, range(args.seeds), embed_size=int(resolved["model.embed"]),
+        specs, _variant_configs(resolved, models), range(args.seeds),
         max_epochs=int(resolved["train.epochs"]), workers=args.workers)
     geo.write_sweep_csv(rows, args.out)
     _write_resolved(resolved, Path(args.out))
@@ -339,13 +373,9 @@ def _cmd_ablate(args):
         "train.epochs": args.epochs, "seed": args.seed,
     })
     _check_seeds(args.seeds)
-    embed = int(resolved["model.embed"])
-    configs = {variant: mdl.ModelConfig.for_variant(variant, embed_size=embed)
-               for variant in ABLATION_VARIANTS}
+    configs = _variant_configs(resolved, ABLATION_VARIANTS)
     train_config = _train_config(resolved)
     graph = load_multiplex(args.graph)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ratio = float(resolved["eval.test_ratio"])
     rows = []
     for variant, config in configs.items():
@@ -368,6 +398,8 @@ def _cmd_ablate(args):
                 row["f1_macro"] = cls["f1_macro"]
                 row["f1_micro"] = cls["f1_micro"]
             rows.append(row)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ablation.csv", ["variant", "seed", "auc", "ap", "f1_macro",
                                       "f1_micro", "loss_final"], rows)
     summary = {}
@@ -445,7 +477,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("ablate", help="compare full model against ablations")
+    p = sub.add_parser("ablate", help="compare full model against ablations",
+                       description="Train and evaluate the full model and its "
+                       "ablations on one graph. Each variant fixes model.manifold "
+                       "and model.layers; model.embed and model.leaky_slope apply "
+                       "to every variant.")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--epochs", type=int, default=None)

@@ -324,6 +324,8 @@ def predict(classifier: Classifier, embeddings):
 def classification_eval(embeddings, labels, seed=0, n_repeats=5, test_ratio=0.2,
                         l2=1e-4):
     """Stratified train/test node splits, repeated; mean and std of F1."""
+    if n_repeats < 1:
+        raise EvalError(f"n_repeats must be >= 1, got {n_repeats}")
     x = np.asarray(embeddings, dtype=np.float64)
     label_sets = [set(l) if isinstance(l, (list, tuple, set)) else {int(l)}
                   for l in labels]

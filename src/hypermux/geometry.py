@@ -138,15 +138,14 @@ class SweepRow:
     loss_final: float
 
 
-def sweep(specs, models, seeds, embed_size=64, max_epochs=150, workers=1):
+def sweep(specs, models, seeds, max_epochs=150, workers=1):
     """Generate, train, and measure the end-of-training gap per run.
 
-    `specs` are generator parameter sets (one per D), `models` are
-    variant names from `model.MODEL_VARIANTS`, `seeds` an iterable of
+    `specs` are generator parameter sets (one per D), `models` maps a
+    variant name to its `model.ModelConfig`, `seeds` is an iterable of
     run seeds. Individual run failures are recorded and the sweep
     continues. Returns (rows, failures).
     """
-    from . import model as mdl
     from .synthetic import generate
     from .training import TrainConfig, derive_seed, train
 
@@ -157,9 +156,8 @@ def sweep(specs, models, seeds, embed_size=64, max_epochs=150, workers=1):
         import dataclasses
         spec_seeded = dataclasses.replace(spec, seed=derive_seed(spec.seed, s, 71))
         result = generate(spec_seeded)
-        config = mdl.ModelConfig.for_variant(name, embed_size=embed_size)
         tc = TrainConfig(max_epochs=max_epochs, seed=derive_seed(spec.seed, s, 72))
-        outcome = train(result.graph, config, tc)
+        outcome = train(result.graph, models[name], tc)
         report = curvature_gap(outcome.z_tangent)
         return SweepRow(spec.n_dims, name, s, report.id_estimate,
                         report.lid_estimate, report.gap, outcome.final_loss)

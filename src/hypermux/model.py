@@ -71,6 +71,10 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ModelConfigError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
+        if self.n_layers < 1:
+            raise ModelConfigError(f"n_layers must be >= 1, got {self.n_layers}")
+        if self.embed_size < 1:
+            raise ModelConfigError(f"embed_size must be >= 1, got {self.embed_size}")
 
     @classmethod
     def for_variant(cls, name, embed_size=96, **kwargs):
@@ -183,16 +187,11 @@ class UnionPattern(ad.SymmetricPattern):
     def values_of(self, mats):
         """(D, nnz) values of the given N x N sparse matrices on the pattern."""
         out = np.zeros((len(mats), self.nnz))
-        n = self.shape[0]
+        n = self.n
         for d, m in enumerate(mats):
             c = m.tocoo()
             out[d, np.searchsorted(self._flat, c.row.astype(np.int64) * n + c.col)] = c.data
         return out
-
-    def to_dense(self, values):
-        """(k, N, N) array of the matrices whose (k, nnz) values are given."""
-        n = self.shape[0]
-        return ad.scatter_nd(values, self.rows, self.cols, (val(values).shape[0], n, n))
 
 
 class StackedAdjacency:
@@ -212,7 +211,7 @@ class StackedAdjacency:
 
     def __init__(self, union, values, mode, csr=None, op=None):
         self.union = union
-        self.n = union.shape[0]
+        self.n = union.n
         self.n_blocks = val(values).shape[0]
         self.values = values
         self.mode = mode
@@ -241,20 +240,11 @@ class StackedAdjacency:
         return ad.spmm(self.op, self.values, x)
 
 
-def prepare_adjacencies(graph, config: ModelConfig | None = None):
-    """Normalize every input dimension once, at load time, and stack them.
-
-    Also fixes the graph's union pattern and, given the model `config`,
-    the stacked CSR index arrays of the levels its schedule propagates
-    through (every built level but the last), so no epoch builds them.
-    """
+def prepare_adjacencies(graph):
+    """Normalize every input dimension once, at load time, and stack them
+    on the graph's union pattern."""
     mats = [normalize_adjacency(a) for a in graph.dims]
-    union = UnionPattern(mats)
-    if config is not None and union.mode == "sparse":
-        for k in resolve_dim_schedule(len(mats), config.n_layers,
-                                      config.dim_schedule)[1:-1]:
-            union.stacked(k)
-    return StackedAdjacency.from_csr_list(mats, union)
+    return StackedAdjacency.from_csr_list(mats, UnionPattern(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +329,11 @@ class ForwardResult:
 
 def forward(graph, x, params: ModelParams, config: ModelConfig):
     """Full multilayer pass: embeddings plus the latent adjacency hierarchy."""
-    hierarchy = build_hierarchy(prepare_adjacencies(graph, config), params, config)
+    f_params, f_graph = params.layers[0].weights[0].shape[0], val(x).shape[1]
+    if f_params != f_graph:
+        raise ModelConfigError(f"parameters take F={f_params} input features, "
+                               f"the graph has F={f_graph}")
+    hierarchy = build_hierarchy(prepare_adjacencies(graph), params, config)
     h, dev = propagate(hierarchy, x, params, config)
     z = mf.lift(h, config.manifold)
     violation = mf.lorentz_violation(val(z)) if config.manifold == mf.LORENTZ else 0.0

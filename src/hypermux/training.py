@@ -172,7 +172,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     """
     train_config.validate()
     mf.check_manifold(model_config.manifold)
-    level0 = mdl.prepare_adjacencies(graph, model_config)
+    level0 = mdl.prepare_adjacencies(graph)
     x = np.asarray(graph.features, dtype=np.float64)
     params = mdl.init_params(graph.n_dims, x.shape[1], model_config,
                              seed=derive_seed(train_config.seed, 101))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypermux import cli
-from hypermux.graph import load_multiplex
+from hypermux.graph import load_multiplex, save_multiplex
 
 
 def run(argv):
@@ -350,6 +350,56 @@ def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
+BAD_INPUTS = {
+    # id: (argv, config file payload, text the error line must hold)
+    "seed-text": ("train --graph {g} --epochs 1", {"seed": "abc"}, "seed"),
+    "n-nodes-text": ("generate --k 2 --d 3", {"gen.n_nodes": "x"}, "gen.n_nodes"),
+    "embed-text": ("train --graph {g} --epochs 1", {"model.embed": "abc"}, "model.embed"),
+    "lr-text": ("train --graph {g} --epochs 1", {"train.lr": "x"}, "train.lr"),
+    "config-not-object": ("train --graph {g} --epochs 1", [1, 2], "JSON object"),
+    "embed-zero": ("train --graph {g} --epochs 1", {"model.embed": 0}, "embed_size"),
+    "embed-negative": ("train --graph {g} --epochs 1", {"model.embed": -3}, "embed_size"),
+    "embed-fraction": ("train --graph {g} --epochs 1", {"model.embed": 2.7}, "model.embed"),
+    "layers-negative": ("train --graph {g} --epochs 1", {"model.layers": -1}, "n_layers"),
+    "telemetry-text": ("train --graph {g} --epochs 1", {"train.telemetry": "no"},
+                       "train.telemetry"),
+    "class-repeats-zero": ("eval --graph {g}", {"eval.class_repeats": 0, "train.epochs": 1,
+                                                "model.embed": 4}, "n_repeats"),
+    "ablate-slope": ("ablate --graph {g} --seeds 1 --epochs 1", {"model.leaky_slope": 1.5},
+                     "leaky_slope"),
+    "sweep-slope": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1",
+                    {"model.leaky_slope": 1.5}, "leaky_slope"),
+    "diagnose-width": ("diagnose --checkpoint {wide} --graph {g}", {}, "F=6"),
+    "eval-width": ("eval --checkpoint {wide} --graph {g}", {}, "F=6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, case):
+    argv, payload, named = BAD_INPUTS[case]
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir))
+    wide = tmp_path / "wide"
+    if "{wide}" in argv:  # a checkpoint trained on the same graph with F doubled
+        graph = load_multiplex(graph_dir)
+        assert graph.n_features == 3
+        graph.features = np.hstack([graph.features, graph.features])
+        save_multiplex(graph, tmp_path / "g6")
+        assert run(["train", "--graph", str(tmp_path / "g6"), "--embed", "4",
+                    "--epochs", "1", "--out", str(wide)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")
+    argv = argv.format(g=graph_dir, wide=wide / "checkpoint.npz").split()
+    argv += ["--config", str(_config(tmp_path, payload)), "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    if case.endswith("width"):
+        assert "F=3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _csv_rows(path):

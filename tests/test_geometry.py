@@ -166,9 +166,14 @@ def quick_specs():
                       seed=1) for d in (2, 3)]
 
 
+def quick_models(*names):
+    from hypermux.model import ModelConfig
+    return {name: ModelConfig.for_variant(name, embed_size=4) for name in names}
+
+
 def test_sweep_row_counting(tmp_path):
-    rows, failures = geo.sweep(quick_specs(), ["euclidean-single"], [0],
-                               embed_size=4, max_epochs=3)
+    rows, failures = geo.sweep(quick_specs(), quick_models("euclidean-single"), [0],
+                               max_epochs=3)
     assert not failures
     assert [(r.d, r.model, r.seed) for r in rows] == \
         [(2, "euclidean-single", 0), (3, "euclidean-single", 0)]
@@ -180,15 +185,16 @@ def test_sweep_row_counting(tmp_path):
 
 
 def test_sweep_cartesian_product():
-    rows, failures = geo.sweep(quick_specs(), ["euclidean-single", "layers-ablation"],
-                               [0], embed_size=4, max_epochs=2)
+    rows, failures = geo.sweep(quick_specs(),
+                               quick_models("euclidean-single", "layers-ablation"),
+                               [0], max_epochs=2)
     assert not failures and len(rows) == 4
 
 
 def test_sweep_records_failures_and_continues():
     from hypermux.synthetic import GenParams
     bad = GenParams(n_nodes=40, n_clusters=2, n_dims=3, p_in=0.01, p_out=0.6, seed=0)
-    rows, failures = geo.sweep([bad] + quick_specs(), ["euclidean-single"], [0],
-                               embed_size=4, max_epochs=2)
+    rows, failures = geo.sweep([bad] + quick_specs(), quick_models("euclidean-single"),
+                               [0], max_epochs=2)
     assert len(failures) == 1 and "GenConfigError" in failures[0]["error"]
     assert len(rows) == 2

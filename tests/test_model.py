@@ -291,7 +291,7 @@ def test_level_support_equals_union_pattern():
     rng = np.random.default_rng(14)
     for layer in params.layers:
         layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g, cfg), params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
     union = hier.levels[0].union
     support = union_support(g)
     assert np.array_equal(union.to_dense(np.ones((1, union.nnz)))[0] != 0, support)
@@ -324,16 +324,17 @@ def sparse_ring_graph(n, d, seed):
 ], ids=["sparse", "dense"])
 def test_storage_mode_follows_union_density(graph, mode):
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.EUCLIDEAN)
-    level0 = mdl.prepare_adjacencies(graph, cfg)
+    level0 = mdl.prepare_adjacencies(graph)
     density = union_support(graph).mean()
     assert level0.union.density == pytest.approx(density)
     assert (density > mdl.DENSE_UNION_DENSITY) == (mode == "dense")
     assert level0.union.mode == mode
     params = mdl.init_params(graph.n_dims, 3, cfg, seed=6)
+    assert level0.union._stacked == {}
     hier = mdl.build_hierarchy(level0, params, cfg)
     assert [lv.mode for lv in hier.levels] == ["const", mode]
-    # the stacked patterns were built with level 0, not by the first epoch,
-    # and only for the levels propagated (schedule (3, 2, 1): k = 2)
+    # the first hierarchy builds the stacked patterns of the sparse levels
+    # it propagates through (schedule (3, 2, 1): k = 2), and only those
     assert sorted(level0.union._stacked) == ([2] if mode == "sparse" else [])
 
 
@@ -342,12 +343,12 @@ def test_hierarchy_holds_only_levels_propagate_reads(n_layers, monkeypatch):
     g = sparse_ring_graph(60, 6, seed=1)  # union density <= 13/60: sparse
     cfg = mdl.ModelConfig(n_layers=n_layers, embed_size=4, manifold=mf.EUCLIDEAN)
     schedule = mdl.resolve_dim_schedule(6, n_layers)
-    level0 = mdl.prepare_adjacencies(g, cfg)
+    level0 = mdl.prepare_adjacencies(g)
     assert level0.union.mode == "sparse"
-    # stacked patterns only for the levels a layer propagates through
-    assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
     params = mdl.init_params(6, 3, cfg, seed=0)
     hier = mdl.build_hierarchy(level0, params, cfg)
+    # stacked patterns only for the levels a layer propagates through
+    assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
     assert [lv.n_blocks for lv in hier.levels] == list(schedule[:-1])
     # raw values for every layer, the last one included
     assert [raw.shape for raw in hier.raw_flat] == [(k, level0.union.nnz)
@@ -376,7 +377,7 @@ def test_dense_oracle_support_stays_inside_union(seed):
     params = mdl.init_params(d, 2, cfg, seed=0)
     for layer in params.layers:
         layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g, cfg), params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
     support = union_support(g)
     current = [normalize_adjacency(a).toarray() for a in g.dims]
     for l, layer in enumerate(params.layers):

@@ -280,7 +280,7 @@ def test_end_to_end_gradcheck_sparse_levels():
         dims.append(sps.csr_matrix(a + a.T))
     graph = MultiplexGraph(n, dims, rng.normal(size=(n, 3))).validate()
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
-    level0 = mdl.prepare_adjacencies(graph, cfg)
+    level0 = mdl.prepare_adjacencies(graph)
     assert level0.union.density < mdl.DENSE_UNION_DENSITY
     params = mdl.init_params(graph.n_dims, graph.n_features, cfg, seed=0)
     rng_logits = np.random.default_rng(4)
@@ -311,7 +311,7 @@ def test_end_to_end_gradcheck_sparse_levels():
 
 def _dgi_loss(graph, cfg, seed=0):
     """One epoch's traced loss, as `train` builds it."""
-    level0 = mdl.prepare_adjacencies(graph, cfg)
+    level0 = mdl.prepare_adjacencies(graph)
     params = mdl.init_params(graph.n_dims, graph.n_features, cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for layer in params.layers:  # off-uniform, so alpha's adjoint is generic
@@ -324,7 +324,7 @@ def _dgi_loss(graph, cfg, seed=0):
 
 
 def keep_all_backward(out):
-    """Reference sweep: every node keeps its adjoint, none adds in place."""
+    """Reference sweep: every node keeps its adjoint."""
     grads = {id(out): np.ones_like(out.value)}
     for node in reversed(ad._toposort(out)):
         g = grads.get(id(node))
