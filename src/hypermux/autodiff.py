@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A small define-by-run tape, sufficient to train every parameter of the
-embedding models in this package. Every op is dual-mode: called on plain
-numpy arrays it just computes numpy, called on at least one `Tensor` it
-also records a closure mapping the output adjoint onto the input
-adjoints. `backward` replays the closures in reverse topological order
-and frees each interior node's adjoint once its closure has consumed
-it, so a sweep holds the tape's values plus the adjoints still to be
-propagated; afterwards only leaves hold `.grad`. A node reached along
-several paths gets the sum of their adjoints as a new array; no adjoint
-is updated in place.
+A small define-by-run tape holding only the ops that training runs: the
+hierarchy build, propagation in tangent coordinates and the DGI
+objective. The manifold maps (`manifold`) are plain numpy outside the
+tape, since the output is lifted once after training. Every op is
+dual-mode: called on plain numpy arrays it just computes numpy, called
+on at least one `Tensor` it also records a closure mapping the output
+adjoint onto the input adjoints. `backward` replays the closures in
+reverse topological order and frees each interior node's adjoint once
+its closure has consumed it, so a sweep holds the tape's values plus
+the adjoints still to be propagated; afterwards only leaves hold
+`.grad`. A node reached along several paths gets the sum of their
+adjoints as a new array; no adjoint is updated in place.
 
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
@@ -95,9 +97,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -192,14 +191,6 @@ def neg(a):
     if not is_tensor(a):
         return -val(a)
     return _node(-a.value, (a,), lambda g: (-g,))
-
-
-def power(a, exponent):
-    """a ** p for a scalar python exponent."""
-    p = float(exponent)
-    if not is_tensor(a):
-        return val(a) ** p
-    return _node(a.value ** p, (a,), lambda g: (g * p * a.value ** (p - 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +402,10 @@ def scatter_nd(values, rows, cols, shape):
 # nonlinearities
 
 
-def _unary(a, fwd, dfn):
-    if not is_tensor(a):
-        return fwd(val(a))
-    y = fwd(a.value)
-    return _node(y, (a,), lambda g: (g * dfn(a.value, y),))
-
-
-def exp(a):
-    return _unary(a, np.exp, lambda x, y: y)
-
-
 def log(a):
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
-
-
-def sqrt(a):
-    return _unary(a, np.sqrt, lambda x, y: 0.5 / y)
-
-
-def tanh(a):
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
-
-
-def arctanh(a):
-    return _unary(a, np.arctanh, lambda x, y: 1.0 / (1.0 - x * x))
-
-
-def sinh(a):
-    return _unary(a, np.sinh, lambda x, y: np.cosh(x))
-
-
-def cosh(a):
-    return _unary(a, np.cosh, lambda x, y: np.sinh(x))
-
-
-def arcosh(a):
-    return _unary(a, np.arccosh, lambda x, y: 1.0 / np.sqrt(x * x - 1.0))
+    if not is_tensor(a):
+        return np.log(val(a))
+    return _node(np.log(a.value), (a,), lambda g: (g * (1.0 / a.value),))
 
 
 def sigmoid(a):
@@ -491,18 +449,6 @@ def clip(a, lo, hi):
     return _node(np.clip(a.value, lo, hi), (a,), lambda g: (g,))
 
 
-def where_mask(mask, a, b):
-    """Select per element by a constant boolean mask."""
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.where(mask, val(a), val(b))
-    a, b = _wrap2(a, b)
-    m = np.asarray(mask, dtype=bool)
-    y = np.where(m, a.value, b.value)
-    return _node(y, (a, b),
-                 lambda g: (_unbroadcast(np.where(m, g, 0.0), a.value.shape),
-                            _unbroadcast(np.where(m, 0.0, g), b.value.shape)))
-
-
 def softmax(a, axis=-1):
     def fwd(x):
         z = x - x.max(axis=axis, keepdims=True)
@@ -543,35 +489,6 @@ def tmean(a, axis=None, keepdims=False):
     return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
 
 
-def row_norm(a):
-    """Euclidean norm of each row, shape (N, 1). Zero rows get zero adjoint."""
-    if not is_tensor(a):
-        x = val(a)
-        return np.sqrt((x * x).sum(axis=1, keepdims=True))
-    x = a.value
-    y = np.sqrt((x * x).sum(axis=1, keepdims=True))
-
-    def vjp(g):
-        safe = np.where(y > 0, y, 1.0)
-        return (g * np.where(y > 0, x / safe, 0.0),)
-
-    return _node(y, (a,), vjp)
-
-
-def concat(parts, axis=0):
-    if not any(is_tensor(p) for p in parts):
-        return np.concatenate([val(p) for p in parts], axis=axis)
-    parts = [p if isinstance(p, Tensor) else constant(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-    y = np.concatenate([p.value for p in parts], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(y, tuple(parts), vjp)
-
-
 def transpose(a):
     if not is_tensor(a):
         return val(a).T
@@ -583,18 +500,6 @@ def reshape(a, shape):
         return val(a).reshape(shape)
     old = a.value.shape
     return _node(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def slice_cols(a, start, stop):
-    if not is_tensor(a):
-        return val(a)[:, start:stop]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[:, start:stop] = g
-        return (out,)
-
-    return _node(a.value[:, start:stop], (a,), vjp)
 
 
 def block_matmul(x, weights, block):

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from statistics import median
 
@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import model as mdl
 from .autodiff import val
 from .graph import GraphFormatError, derive_seed, load_multiplex, save_multiplex
-from .manifold import MANIFOLDS
+from .manifold import MANIFOLDS, lift
 from .synthetic import GenConfigError, GenParams, generate, resolve_params, sweep_specs
 from .training import TrainConfig, TrainConfigError, train, write_history_csv
 
@@ -36,6 +36,11 @@ class ConfigError(ValueError):
 
 class _UsageError(Exception):
     pass
+
+
+# errors of bad input; `dispatch` turns them into exit code 1
+EXIT_ONE_ERRORS = (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
+                   mdl.ModelConfigError, TrainConfigError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,9 +79,12 @@ DEFAULTS = {
 
 def _check_type(key, value):
     """Reject a value whose type does not match the key's default: ints pass
-    for floats, only bools for bools, any number where the default is None."""
+    for floats, only bools for bools, any number where the default is None.
+    Numbers must be finite: NaN, infinities and ints beyond the float
+    range are rejected."""
     default = DEFAULTS[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
     if default is None:
         ok, kind = value is None or number, "a number or null"
     elif isinstance(default, bool):
@@ -114,9 +122,16 @@ def resolve_config(config_file=None, overrides=None):
     for key, value in resolved.items():
         _check_type(key, value)
     if resolved["seed"] is None:
-        resolved["seed"] = int(os.environ.get("HYPERMUX_SEED", "0"))
+        env_seed = os.environ.get("HYPERMUX_SEED", "0")
+        try:
+            resolved["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"HYPERMUX_SEED must be an integer, got {env_seed!r}") from None
     if resolved["model.manifold"] not in MANIFOLDS:
         raise ConfigError(f"model.manifold must be one of {MANIFOLDS}")
+    repeats = resolved["eval.class_repeats"]
+    if repeats < 1:
+        raise ConfigError(f"eval.class_repeats must be >= 1, got {repeats}")
     return resolved
 
 
@@ -207,7 +222,7 @@ def _embed_checkpoint(checkpoint, graph):
     """(model config, Z, Z in tangent coordinates) of a checkpoint on a graph."""
     params, _, model_config, _ = mdl.load_checkpoint(checkpoint)
     out = mdl.forward(graph, graph.features, params, model_config)
-    return model_config, val(out.z), val(out.z_tangent)
+    return model_config, out.z, val(out.z_tangent)
 
 
 def _check_seeds(n):
@@ -378,14 +393,20 @@ def _cmd_ablate(args):
     graph = load_multiplex(args.graph)
     ratio = float(resolved["eval.test_ratio"])
     rows = []
-    for variant, config in configs.items():
-        for s in range(args.seeds):
-            run_seed = derive_seed(int(resolved["seed"]), 91, s)
-            split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=run_seed)
-            tc = replace(train_config, seed=run_seed)
-            outcome = train(split.train_graph, config, tc)
+    for s in range(args.seeds):
+        run_seed = derive_seed(int(resolved["seed"]), 91, s)
+        split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=run_seed)
+        tc = replace(train_config, seed=run_seed)
+        # the manifold only lifts the trained tangent states, so variants
+        # that differ in nothing else share one training
+        trained = {}
+        for variant, config in configs.items():
+            key = astuple(replace(config, manifold=None))
+            if key not in trained:
+                trained[key] = train(split.train_graph, config, tc)
+            outcome = trained[key]
             auc, ap = ev.link_prediction_eval(
-                outcome.z_final, split, kind=config.manifold,
+                lift(outcome.z_tangent, config.manifold), split, kind=config.manifold,
                 r=float(resolved["eval.r"]), t=float(resolved["eval.t"]))
             row = {"variant": variant, "seed": s, "auc": auc, "ap": ap,
                    "f1_macro": None, "f1_micro": None,
@@ -398,6 +419,7 @@ def _cmd_ablate(args):
                 row["f1_macro"] = cls["f1_macro"]
                 row["f1_micro"] = cls["f1_micro"]
             rows.append(row)
+    rows.sort(key=lambda row: ABLATION_VARIANTS.index(row["variant"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ablation.csv", ["variant", "seed", "auc", "ap", "f1_macro",
@@ -505,8 +527,7 @@ def dispatch(argv):
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
-            mdl.ModelConfigError, TrainConfigError) as exc:
+    except EXIT_ONE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary, fail with code 2

@@ -320,8 +320,8 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
 
 @dataclass
 class ForwardResult:
-    z: Tensor  # N x M node states on the manifold (N x (M+1) on the hyperboloid)
-    z_tangent: Tensor  # the same states in tangent coordinates, N x M
+    z: np.ndarray  # lifted output, N x M (N x (M+1) on the hyperboloid); not traced
+    z_tangent: Tensor  # the traced states in tangent coordinates, N x M
     hierarchy: Hierarchy
     softmax_dev: float
     lorentz_violation: float  # of the output lift; 0 off the hyperboloid
@@ -335,8 +335,8 @@ def forward(graph, x, params: ModelParams, config: ModelConfig):
                                f"the graph has F={f_graph}")
     hierarchy = build_hierarchy(prepare_adjacencies(graph), params, config)
     h, dev = propagate(hierarchy, x, params, config)
-    z = mf.lift(h, config.manifold)
-    violation = mf.lorentz_violation(val(z)) if config.manifold == mf.LORENTZ else 0.0
+    z = mf.lift(val(h), config.manifold)
+    violation = mf.lorentz_violation(z) if config.manifold == mf.LORENTZ else 0.0
     return ForwardResult(z, h, hierarchy, max(dev, hierarchy.softmax_dev), violation)
 
 

@@ -224,7 +224,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
 
     if z_tangent is None:
         raise TrainingError(aborted or "training produced no usable epoch")
-    z_final = val(mf.lift(z_tangent, model_config.manifold))
+    z_final = mf.lift(z_tangent, model_config.manifold)
     violation = mf.lorentz_violation(z_final) if model_config.manifold == mf.LORENTZ else 0.0
 
     return TrainResult(

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermux import cli
 from hypermux.graph import load_multiplex, save_multiplex
@@ -258,6 +259,38 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert cli.resolve_config(None, {})["seed"] == 0
 
 
+def test_non_integer_seed_env_var_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HYPERMUX_SEED", "abc")
+    out = tmp_path / "g"
+    assert run(["generate", "--n", "30", "--k", "2", "--d", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "HYPERMUX_SEED" in err
+    assert not out.exists()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=3))
+
+
+@pytest.mark.parametrize("key", sorted(cli.DEFAULTS))
+@settings(max_examples=100, deadline=None)
+@given(value=JSON_VALUES,
+       others=st.dictionaries(st.sampled_from(sorted(cli.DEFAULTS)), JSON_VALUES, max_size=2))
+def test_any_json_config_builds_or_exits_one(tmp_path_factory, key, value, others):
+    # NaN and Infinity included: Python's json reads them from a config file
+    payload = {**others, key: value}
+    path = tmp_path_factory.getbasetemp() / "any_config.json"
+    path.write_text(json.dumps(payload))
+    try:
+        resolved = cli.resolve_config(path, {})
+        cli._gen_params(resolved)
+        cli._model_config(resolved)
+        cli._train_config(resolved)
+    except cli.EXIT_ONE_ERRORS:
+        pass
+
+
 def test_sweep_rows_and_medians(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run(["sweep", "--d", "2,3", "--seeds", "2",
@@ -316,6 +349,30 @@ def test_ablate_forwards_logreg_l2(tmp_path, monkeypatch):
     assert seen == [0.5] * len(cli.ABLATION_VARIANTS)
 
 
+def test_ablate_trains_each_architecture_once_per_seed(tmp_path, monkeypatch):
+    graph_dir = tmp_path / "g"
+    run(gen_args(graph_dir, n=40, seed=3))
+    trained = []
+    real = cli.train
+
+    def spy(graph, config, train_config):
+        trained.append(config.manifold)
+        return real(graph, config, train_config)
+
+    monkeypatch.setattr(cli, "train", spy)
+    cfg = _config(tmp_path, {"train.epochs": 2, "model.embed": 4, "eval.class_repeats": 1})
+    out = tmp_path / "ablation"
+    assert run(["ablate", "--graph", str(graph_dir), "--seeds", "2", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    # the euclidean rows reuse the full model's training
+    assert len(trained) == 3 * 2 and "euclidean" not in trained
+    rows = {(r[0], r[1]): r[2:] for r in _csv_rows(out / "ablation.csv")[1:]}
+    assert [v for v, _ in rows] == ["full"] * 2 + ["euclidean"] * 2 + \
+        ["weights-ablation"] * 2 + ["layers-ablation"] * 2
+    for s in ("0", "1"):  # same F1 and loss; AUC/AP come from different decoders
+        assert rows["full", s][2:] == rows["euclidean", s][2:]
+
+
 def test_byte_identical_reruns(tmp_path):
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir, n=36, seed=5))
@@ -366,7 +423,9 @@ BAD_INPUTS = {
     "telemetry-text": ("train --graph {g} --epochs 1", {"train.telemetry": "no"},
                        "train.telemetry"),
     "class-repeats-zero": ("eval --graph {g}", {"eval.class_repeats": 0, "train.epochs": 1,
-                                                "model.embed": 4}, "n_repeats"),
+                                                "model.embed": 4}, "eval.class_repeats"),
+    "ablate-class-repeats-zero": ("ablate --graph {g} --seeds 1 --epochs 1",
+                                  {"eval.class_repeats": 0}, "eval.class_repeats"),
     "ablate-slope": ("ablate --graph {g} --seeds 1 --epochs 1", {"model.leaky_slope": 1.5},
                      "leaky_slope"),
     "sweep-slope": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1",
@@ -376,8 +435,12 @@ BAD_INPUTS = {
 }
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("bad input must be rejected before any training")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, case):
+def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case):
     argv, payload, named = BAD_INPUTS[case]
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir))
@@ -389,6 +452,7 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, case):
         save_multiplex(graph, tmp_path / "g6")
         assert run(["train", "--graph", str(tmp_path / "g6"), "--embed", "4",
                     "--epochs", "1", "--out", str(wide)]) == 0
+    monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")
     argv = argv.format(g=graph_dir, wide=wide / "checkpoint.npz").split()

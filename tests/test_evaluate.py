@@ -335,7 +335,7 @@ def test_logreg_multilabel_one_vs_rest():
 def test_link_prediction_identical_nodes_gives_half():
     g = toy_graph(seed=7)
     split = ev.split_edges(g, (0.85, 0.15), seed=8)
-    z = np.tile(mf.val(mf.lift(np.zeros((1, 4)), mf.LORENTZ)), (g.n_nodes, 1))
+    z = np.tile(mf.lift(np.zeros((1, 4)), mf.LORENTZ), (g.n_nodes, 1))
     auc, ap = ev.link_prediction_eval(z, split, kind=mf.LORENTZ)
     assert auc == pytest.approx(0.5)
 
@@ -357,9 +357,24 @@ def test_scores_in_unit_interval_all_kinds():
     pairs = [(0, i, j) for i in range(6) for j in range(i + 1, 6)]
     tangent = rng.normal(size=(6, 3))
     for kind in (mf.EUCLIDEAN, mf.POINCARE, mf.LORENTZ):
-        z = mf.val(mf.lift(tangent, kind)) if kind != mf.EUCLIDEAN else tangent
+        z = mf.lift(tangent, kind)
         scores = ev.edge_scores(z, pairs, kind=kind)
         assert np.all((scores > 0) & (scores < 1))
+
+
+def test_lorentz_scores_lifted_points_far_from_the_origin():
+    # at tangent norm 15 the lift misses the hyperboloid check's 1e-6
+    # tolerance by rounding alone: the decoder scores such points, the
+    # log map still refuses them
+    rng = np.random.default_rng(14)
+    tangent = rng.normal(size=(6, 3))
+    tangent *= 15.0 / np.linalg.norm(tangent, axis=1, keepdims=True)
+    z = mf.lift(tangent, mf.LORENTZ)
+    pairs = [(0, i, j) for i in range(6) for j in range(i + 1, 6)]
+    scores = ev.edge_scores(z, pairs, kind=mf.LORENTZ)
+    assert scores.shape == (15,) and np.all((scores > 0) & (scores < 1))
+    with pytest.raises(mf.ManifoldDomainError):
+        mf.to_euclidean(z, mf.LORENTZ)
 
 
 def test_link_prediction_pair_order_invariance():

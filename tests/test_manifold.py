@@ -228,34 +228,3 @@ def test_lorentz_base_point_maps_to_zero_vector():
 def test_unknown_manifold_rejected():
     with pytest.raises(ValueError, match="unknown manifold"):
         mf.lift(np.zeros((1, 2)), "spherical")
-
-
-# --- traced variants agree with plain numpy --------------------------------
-
-
-def test_traced_kernels_match_numpy_paths():
-    rng = np.random.default_rng(8)
-    h = rng.normal(size=(30, 4))
-    for kind in (mf.POINCARE, mf.LORENTZ):
-        plain = mf.to_euclidean(mf.lift(h, kind), kind)
-        traced = mf.to_euclidean(mf.lift(ad.constant(h), kind), kind)
-        assert np.allclose(plain, ad.val(traced), atol=1e-14)
-
-
-def test_manifold_kernels_differentiable():
-    rng = np.random.default_rng(9)
-
-    def fn(v):
-        lifted = mf.lift(v["h"], mf.LORENTZ)
-        back = mf.to_euclidean(lifted, mf.LORENTZ)
-        return ad.tsum(ad.mul(back, back))
-
-    assert ad.grad_check(fn, {"h": rng.normal(size=(5, 3))}, epsilon=1e-6) < 1e-6
-
-    def fn_ball(v):
-        s = mf.fermi_dirac_score(mf.poincare_exp0(v["a"]), mf.poincare_exp0(v["b"]))
-        return ad.tsum(s)
-
-    assert ad.grad_check(fn_ball, {"a": rng.normal(size=(4, 3)) * 0.3,
-                                   "b": rng.normal(size=(4, 3)) * 0.3},
-                         epsilon=1e-6) < 1e-6
