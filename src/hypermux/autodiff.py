@@ -3,10 +3,13 @@
 A small define-by-run tape holding only the ops that training runs: the
 hierarchy build, propagation in tangent coordinates and the DGI
 objective. The manifold maps (`manifold`) are plain numpy outside the
-tape, since the output is lifted once after training. Every op is
-dual-mode: called on plain numpy arrays it just computes numpy, called
-on at least one `Tensor` it also records a closure mapping the output
-adjoint onto the input adjoints. `backward` replays the closures in
+tape, since the output is lifted once after training. Every op takes
+`Tensor` operands (binary arithmetic also takes a plain scalar or array
+as a constant), returns a `Tensor`, and records a closure mapping the
+output adjoint onto the input adjoints only when an operand requires a
+gradient: on constants alone it records nothing, so a forward-only pass
+keeps no tape. `logistic` is the plain numpy kernel `sigmoid` runs, for
+callers outside the tape. `backward` replays the closures in
 reverse topological order and frees each interior node's adjoint once
 its closure has consumed it, so a sweep holds the tape's values plus
 the adjoints still to be propagated; afterwards only leaves hold
@@ -110,10 +113,6 @@ def leaf(value, name=""):
     return Tensor(value, requires_grad=True, name=name)
 
 
-def is_tensor(x):
-    return isinstance(x, Tensor)
-
-
 def val(x):
     """Underlying ndarray of a Tensor, or the input coerced to float64."""
     if isinstance(x, Tensor):
@@ -154,24 +153,18 @@ def _wrap2(a, b):
 
 
 def add(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return val(a) + val(b)
     a, b = _wrap2(a, b)
     return _node(a.value + b.value, (a, b),
                  lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def sub(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return val(a) - val(b)
     a, b = _wrap2(a, b)
     return _node(a.value - b.value, (a, b),
                  lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return val(a) * val(b)
     a, b = _wrap2(a, b)
     return _node(a.value * b.value, (a, b),
                  lambda g: (_unbroadcast(g * b.value, a.value.shape),
@@ -179,8 +172,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return val(a) / val(b)
     a, b = _wrap2(a, b)
     return _node(a.value / b.value, (a, b),
                  lambda g: (_unbroadcast(g / b.value, a.value.shape),
@@ -188,8 +179,6 @@ def div(a, b):
 
 
 def neg(a):
-    if not is_tensor(a):
-        return -val(a)
     return _node(-a.value, (a,), lambda g: (-g,))
 
 
@@ -199,8 +188,6 @@ def neg(a):
 
 def matmul(a, b):
     """Matrix product of two 2-d operands."""
-    if not (is_tensor(a) or is_tensor(b)):
-        return val(a) @ val(b)
     a, b = _wrap2(a, b)
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
@@ -270,8 +257,6 @@ def spmm_const(mat, mat_t, x):
     the CSC view, built without a sort), or `mat` itself when the matrix
     is symmetric. Gradient flows to the dense operand only.
     """
-    if not is_tensor(x):
-        return mat @ val(x)
     if mat.shape[1] != x.value.shape[0]:
         raise ShapeError(f"spmm_const: {mat.shape} @ {x.value.shape}")
     return _node(mat @ x.value, (x,), lambda g: (mat_t @ g,))
@@ -341,9 +326,6 @@ def spmm(op, values, x):
     Gradient flows to both the values and the dense operand; neither
     adjoint forms a dense (k*n, n) array for a sparse operator.
     """
-    if not (is_tensor(values) or is_tensor(x)):
-        return op.mat @ val(x)
-    values, x = _wrap2(values, x)
     if values.value.size != op.nnz:
         raise ShapeError(f"spmm: values shape {values.value.shape} holds no {op.nnz} entries")
     if op.shape[1] != x.value.shape[0]:
@@ -365,8 +347,6 @@ def gather_nd(x, rows, cols, unique=False):
     Set `unique=True` when the index pairs are known distinct; the
     adjoint then scatters by assignment instead of `np.add.at`.
     """
-    if not is_tensor(x):
-        return val(x)[rows, cols]
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
 
@@ -387,10 +367,6 @@ def scatter_nd(values, rows, cols, shape):
     With a 3-d `shape` (k, n, m), the (k, len(rows)) `values` fill the
     same positions of all k matrices.
     """
-    if not is_tensor(values):
-        out = np.zeros(shape)
-        out[..., rows, cols] = val(values)
-        return out
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     out = np.zeros(shape)
@@ -403,29 +379,25 @@ def scatter_nd(values, rows, cols, shape):
 
 
 def log(a):
-    if not is_tensor(a):
-        return np.log(val(a))
     return _node(np.log(a.value), (a,), lambda g: (g * (1.0 / a.value),))
 
 
-def sigmoid(a):
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def logistic(x):
+    """1 / (1 + exp(-x)) of an ndarray, without overflow for either sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    if not is_tensor(a):
-        return fwd(np.atleast_1d(val(a)))[0] if np.ndim(val(a)) == 0 else fwd(val(a))
-    y = fwd(a.value)
+
+def sigmoid(a):
+    y = logistic(a.value)
     return _node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def relu(a):
-    if not is_tensor(a):
-        return np.maximum(val(a), 0.0)
     y = np.maximum(a.value, 0.0)
     return _node(y, (a,), lambda g: (np.where(a.value > 0, g, 0.0),))
 
@@ -434,30 +406,20 @@ def leaky_relu(a, slope=0.01):
     """max(x, slope * x), formed in one buffer: x where x > 0, slope * x
     elsewhere, for 0 < slope <= 1; at slope 0 also, except that an input
     of +inf gives nan (0 * inf)."""
-    x = val(a)
+    x = a.value
     y = x * slope
     np.maximum(y, x, out=y)
-    if not is_tensor(a):
-        return y
     return _node(y, (a,), lambda g: (np.where(x > 0, g, slope * g),))
 
 
 def clip(a, lo, hi):
     """Clamp values; the adjoint passes straight through the clamp."""
-    if not is_tensor(a):
-        return np.clip(val(a), lo, hi)
     return _node(np.clip(a.value, lo, hi), (a,), lambda g: (g,))
 
 
 def softmax(a, axis=-1):
-    def fwd(x):
-        z = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    if not is_tensor(a):
-        return fwd(val(a))
-    y = fwd(a.value)
+    e = np.exp(a.value - a.value.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
     return _node(y, (a,),
                  lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
@@ -467,8 +429,6 @@ def softmax(a, axis=-1):
 
 
 def tsum(a, axis=None, keepdims=False):
-    if not is_tensor(a):
-        return val(a).sum(axis=axis, keepdims=keepdims)
     y = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
@@ -483,21 +443,15 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def tmean(a, axis=None, keepdims=False):
-    if not is_tensor(a):
-        return val(a).mean(axis=axis, keepdims=keepdims)
     n = a.value.size if axis is None else a.value.shape[axis]
     return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
 
 
 def transpose(a):
-    if not is_tensor(a):
-        return val(a).T
     return _node(a.value.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
-    if not is_tensor(a):
-        return val(a).reshape(shape)
     old = a.value.shape
     return _node(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
@@ -508,12 +462,12 @@ def block_matmul(x, weights, block):
     One fused op instead of k slice-then-matmul pairs, so the adjoint
     w.r.t. x fills a single buffer.
     """
-    xs = val(x)
+    xs = x.value
     k = xs.shape[0] // block
     if xs.ndim != 2 or xs.shape[0] % block or len(weights) != k:
         raise ShapeError(f"block_matmul: {xs.shape} with {len(weights)} weights "
                          f"of block {block}")
-    wvals = [val(w) for w in weights]
+    wvals = [w.value for w in weights]
     f_in, f_out = wvals[0].shape
     for w in wvals:
         if w.shape != (f_in, f_out) or f_in != xs.shape[1]:
@@ -523,49 +477,42 @@ def block_matmul(x, weights, block):
     for d in range(k):
         sl = slice(d * block, (d + 1) * block)
         np.matmul(xs[sl], wvals[d], out=out[sl])
-    if not (is_tensor(x) or any(is_tensor(w) for w in weights)):
-        return out
-    xt = x if isinstance(x, Tensor) else constant(x)
-    wts = [w if isinstance(w, Tensor) else constant(w) for w in weights]
 
     def vjp(g):
-        gx = np.empty_like(xs) if xt.requires_grad else None
+        gx = np.empty_like(xs) if x.requires_grad else None
         gws = []
         for d in range(k):
             sl = slice(d * block, (d + 1) * block)
             if gx is not None:
                 np.matmul(g[sl], wvals[d].T, out=gx[sl])
-            gws.append(xs[sl].T @ g[sl] if wts[d].requires_grad else None)
+            gws.append(xs[sl].T @ g[sl] if weights[d].requires_grad else None)
         return (gx, *gws)
 
-    return _node(out, (xt, *wts), vjp)
+    return _node(out, (x, *weights), vjp)
 
 
 def block_weighted_sum(x, coeffs, block):
     """sum_d coeffs[d] * block_d over a (k*block, m) stack -> (block, m)."""
-    xs = val(x)
+    xs = x.value
     k = xs.shape[0] // block
-    cs = val(coeffs).reshape(-1)
+    cs = coeffs.value.reshape(-1)
     if xs.ndim != 2 or xs.shape[0] % block or cs.size != k:
         raise ShapeError(f"block_weighted_sum: {xs.shape} with {cs.size} "
                          f"coefficients of block {block}")
     x3 = xs.reshape(k, block, xs.shape[1])
     out = np.einsum("d,dnm->nm", cs, x3)
-    if not (is_tensor(x) or is_tensor(coeffs)):
-        return out
-    xt, ct = _wrap2(x, coeffs)
 
     def vjp(g):
         gx = None
-        if xt.requires_grad:
+        if x.requires_grad:
             gx = np.empty_like(xs)
             for d in range(k):
                 np.multiply(g, cs[d], out=gx[d * block:(d + 1) * block])
-        gc = np.einsum("nm,dnm->d", g, x3).reshape(ct.value.shape) \
-            if ct.requires_grad else None
+        gc = np.einsum("nm,dnm->d", g, x3).reshape(coeffs.value.shape) \
+            if coeffs.requires_grad else None
         return (gx, gc)
 
-    return _node(out, (xt, ct), vjp)
+    return _node(out, (x, coeffs), vjp)
 
 
 def normalize_blocks(values, pattern):
@@ -579,7 +526,7 @@ def normalize_blocks(values, pattern):
     Fused single op (forward and adjoint written by hand) because this
     sits on the per-epoch hot path for every aggregated level.
     """
-    arr = val(values)
+    arr = values.value
     if arr.ndim != 2 or arr.shape[1] != pattern.nnz:
         raise ShapeError(f"normalize_blocks: values shape {arr.shape} not "
                          f"(k, {pattern.nnz}) on the pattern")
@@ -592,9 +539,6 @@ def normalize_blocks(values, pattern):
     s = 1.0 / np.sqrt(deg)
     y = b * s[:, rows]
     y *= s[:, cols]
-
-    if not is_tensor(values):
-        return y
 
     def vjp(g):
         # d/ds collects the row-factor and column-factor appearances
@@ -667,12 +611,6 @@ def backward(out, seed=None):
 
 def grad_or_zero(t):
     return t.grad if t.grad is not None else np.zeros_like(t.value)
-
-
-def gradients(out, leaves, seed=None):
-    """Adjoints of `out` w.r.t. an iterable of leaves, zeros when off-path."""
-    backward(out, seed)
-    return [grad_or_zero(t) for t in leaves]
 
 
 def grad_check(fn, inputs, epsilon=1e-5, n_coords=200, rng=None):

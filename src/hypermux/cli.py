@@ -77,15 +77,21 @@ DEFAULTS = {
 }
 
 
+# keys defaulting to None that take only an integer
+INTEGER_OR_NULL = ("seed", "gen.sf_min", "gen.sf_max", "gen.cluster_min", "gen.cluster_max")
+
+
 def _check_type(key, value):
     """Reject a value whose type does not match the key's default: ints pass
-    for floats, only bools for bools, any number where the default is None.
-    Numbers must be finite: NaN, infinities and ints beyond the float
-    range are rejected."""
+    for floats, only bools for bools, any number where the default is None
+    (only an int for the INTEGER_OR_NULL keys). Numbers must be finite:
+    NaN, infinities and ints beyond the float range are rejected."""
     default = DEFAULTS[key]
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and abs(value) <= sys.float_info.max)
-    if default is None:
+    if key in INTEGER_OR_NULL:
+        ok, kind = value is None or (number and isinstance(value, int)), "an integer or null"
+    elif default is None:
         ok, kind = value is None or number, "a number or null"
     elif isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
@@ -132,6 +138,8 @@ def resolve_config(config_file=None, overrides=None):
     repeats = resolved["eval.class_repeats"]
     if repeats < 1:
         raise ConfigError(f"eval.class_repeats must be >= 1, got {repeats}")
+    if resolved["eval.t"] <= 0:
+        raise ConfigError(f"eval.t must be > 0, got {resolved['eval.t']}")
     return resolved
 
 
@@ -157,12 +165,12 @@ def _gen_params(resolved, seed=None):
     if resolved["gen.sf_min"] is not None or resolved["gen.sf_max"] is not None:
         if resolved["gen.sf_min"] is None or resolved["gen.sf_max"] is None:
             raise ConfigError("set both gen.sf_min and gen.sf_max or neither")
-        sf = (int(resolved["gen.sf_min"]), int(resolved["gen.sf_max"]))
+        sf = (resolved["gen.sf_min"], resolved["gen.sf_max"])
     cluster = None
     if resolved["gen.cluster_min"] is not None or resolved["gen.cluster_max"] is not None:
         if resolved["gen.cluster_min"] is None or resolved["gen.cluster_max"] is None:
             raise ConfigError("set both gen.cluster_min and gen.cluster_max or neither")
-        cluster = (int(resolved["gen.cluster_min"]), int(resolved["gen.cluster_max"]))
+        cluster = (resolved["gen.cluster_min"], resolved["gen.cluster_max"])
     return GenParams(
         n_nodes=int(resolved["gen.n_nodes"]),
         n_clusters=int(resolved["gen.n_clusters"]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold as mf
-from .autodiff import sigmoid
+from .autodiff import logistic
 from .graph import MultiplexGraph, edges_from_csr, _edges_to_csr
 
 
@@ -166,7 +166,7 @@ def edge_scores(z, pairs, kind=mf.LORENTZ, r=2.0, t=1.0):
     idx_i = np.fromiter((p[-2] for p in pairs), dtype=np.int64, count=len(pairs))
     idx_j = np.fromiter((p[-1] for p in pairs), dtype=np.int64, count=len(pairs))
     if kind == mf.EUCLIDEAN:
-        return sigmoid((z[idx_i] * z[idx_j]).sum(axis=1))
+        return logistic((z[idx_i] * z[idx_j]).sum(axis=1))
     return mf.fermi_dirac_score(z[idx_i], z[idx_j], r=r, t=t, kind=kind)
 
 

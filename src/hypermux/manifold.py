@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, sigmoid
+from .autodiff import ShapeError, logistic
 
 EUCLIDEAN = "euclidean"
 POINCARE = "poincare"
@@ -149,13 +149,6 @@ def _to_ball(y):
     return y[..., 1:] / (1.0 + y[..., :1])
 
 
-def lorentz_to_ball(y):
-    """Isometric carry-over from the hyperboloid to the Poincare ball."""
-    y = _array(y)
-    _check_hyperboloid(y)
-    return _to_ball(y)
-
-
 # ---------------------------------------------------------------------------
 # lifting in and out of the manifolds
 
@@ -209,5 +202,5 @@ def fermi_dirac_score(z_i, z_j, r=2.0, t=1.0, kind=POINCARE):
     if kind == LORENTZ:
         z_i, z_j = _to_ball(z_i), _to_ball(z_j)
     a = np.arctanh(np.clip(_norm(_mobius_add(-z_i, z_j)), 0.0, 1.0 - BALL_EPS))
-    score = sigmoid((r - a * a) / t)[..., 0]
+    score = logistic((r - a * a) / t)[..., 0]
     return float(score) if score.ndim == 0 else score

@@ -306,7 +306,7 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
     (H, softmax deviation), H the last layer's N x M states.
     """
     n = hierarchy.levels[0].n
-    h = x if ad.is_tensor(x) else ad.constant(np.asarray(x, dtype=np.float64))
+    h = x if isinstance(x, Tensor) else ad.constant(x)
     dev = 0.0
     for l, layer in enumerate(params.layers):
         prop_all = hierarchy.levels[l].matmul(h)  # (D*N, F_in)
@@ -321,7 +321,7 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
 @dataclass
 class ForwardResult:
     z: np.ndarray  # lifted output, N x M (N x (M+1) on the hyperboloid); not traced
-    z_tangent: Tensor  # the traced states in tangent coordinates, N x M
+    z_tangent: Tensor  # states in tangent coordinates, N x M; traced when params are leaves
     hierarchy: Hierarchy
     softmax_dev: float
     lorentz_violation: float  # of the output lift; 0 off the hyperboloid
@@ -368,7 +368,11 @@ def save_checkpoint(path, params: ModelParams, q, model_config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Inverse of `save_checkpoint`: (params, Q tensor, ModelConfig, meta)."""
+    """Inverse of `save_checkpoint`: (params, Q, ModelConfig, meta).
+
+    Every parameter and Q load as `ad.constant`: a loaded checkpoint is
+    only run forward, which then records no closures and keeps no tape.
+    """
     with np.load(path) as data:
         header = json.loads(bytes(data["__meta__"]).decode())
         cfg_kwargs = {k: v for k, v in header["model"].items()
@@ -382,12 +386,11 @@ def load_checkpoint(path):
             weights = []
             d = 0
             while f"layer{l}.W{d}" in data:
-                weights.append(ad.leaf(data[f"layer{l}.W{d}"], name=f"layer{l}.W{d}"))
+                weights.append(ad.constant(data[f"layer{l}.W{d}"], name=f"layer{l}.W{d}"))
                 d += 1
-            alpha = Tensor(data[f"layer{l}.alpha"], requires_grad=config.train_alpha,
-                           name=f"layer{l}.alpha")
-            beta = ad.leaf(data[f"layer{l}.beta"], name=f"layer{l}.beta")
+            alpha = ad.constant(data[f"layer{l}.alpha"], name=f"layer{l}.alpha")
+            beta = ad.constant(data[f"layer{l}.beta"], name=f"layer{l}.beta")
             layers.append(LayerParams(weights, alpha, beta))
             l += 1
-        q = ad.leaf(data["Q"], name="Q")
+        q = ad.constant(data["Q"], name="Q")
     return ModelParams(layers), q, config, header.get("meta")

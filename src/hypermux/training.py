@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import manifold as mf
 from . import model as mdl
-from .autodiff import Tensor, val
+from .autodiff import Tensor
 from .graph import corrupt_features, derive_seed
 
 ADAM_BETA1 = 0.9
@@ -67,19 +67,9 @@ def init_discriminator(m, name="Q"):
 
 
 def discriminate(s, z, q):
-    """sigmoid(z Q s) for a summary s and per-node states z, row-wise.
-
-    A single 1-d state vector yields a plain float.
-    """
-    single = not ad.is_tensor(z) and val(z).ndim == 1
-    s2 = ad.reshape(s, (1, -1)) if ad.is_tensor(s) else val(s).reshape(1, -1)
-    z2 = ad.reshape(z, (-1, val(s2).shape[1])) if ad.is_tensor(z) \
-        else val(z).reshape(-1, val(s2).shape[1])
-    logits = ad.matmul(ad.matmul(z2, q), ad.transpose(s2))
-    out = ad.sigmoid(logits)
-    if ad.is_tensor(out):
-        return out
-    return float(out[0, 0]) if single else out.ravel()
+    """sigmoid(z Q s^T): the (N, 1) scores of the (N, M) states z against
+    the (1, M) summary s, all three Tensors."""
+    return ad.sigmoid(z @ q @ ad.transpose(s))
 
 
 def dgi_objective(z, z_corrupt, q):
@@ -88,9 +78,8 @@ def dgi_objective(z, z_corrupt, q):
     The summary s comes from the clean states; training minimizes the
     negation. Log arguments are clamped to >= 1e-12.
     """
-    if val(z).shape != val(z_corrupt).shape:
-        raise ad.ShapeError(
-            f"dgi_objective: shapes {val(z).shape} != {val(z_corrupt).shape}")
+    if z.shape != z_corrupt.shape:
+        raise ad.ShapeError(f"dgi_objective: shapes {z.shape} != {z_corrupt.shape}")
     s = readout(z)
     pos = discriminate(s, z, q)
     neg = discriminate(s, z_corrupt, q)
@@ -201,7 +190,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
             break
 
         max_dev = max(max_dev, dev_c, dev_h, hierarchy.softmax_dev)
-        z_tangent = val(z).copy()
+        z_tangent = z.value.copy()
 
         row = HistoryRow(epoch, loss_value)
         if train_config.telemetry:

@@ -284,6 +284,14 @@ def test_any_json_config_builds_or_exits_one(tmp_path_factory, key, value, other
     path.write_text(json.dumps(payload))
     try:
         resolved = cli.resolve_config(path, {})
+    except cli.EXIT_ONE_ERRORS:
+        return
+    # nothing downstream truncates a fraction or meets a non-positive temperature
+    assert isinstance(resolved["seed"], int)
+    for k in cli.INTEGER_OR_NULL:
+        assert resolved[k] is None or type(resolved[k]) is int, (k, resolved[k])
+    assert resolved["eval.t"] > 0
+    try:
         cli._gen_params(resolved)
         cli._model_config(resolved)
         cli._train_config(resolved)
@@ -430,6 +438,17 @@ BAD_INPUTS = {
                      "leaky_slope"),
     "sweep-slope": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1",
                     {"model.leaky_slope": 1.5}, "leaky_slope"),
+    "eval-t-zero": ("eval --graph {g}", {"eval.t": 0, "train.epochs": 1, "model.embed": 4},
+                    "eval.t"),
+    "ablate-t-negative": ("ablate --graph {g} --seeds 1 --epochs 1", {"eval.t": -0.5},
+                          "eval.t"),
+    "seed-fraction": ("generate --k 2 --d 3 --n 40", {"seed": 1.5}, "seed"),
+    "sf-fraction": ("generate --k 2 --d 3 --n 40", {"gen.sf_min": 2.7, "gen.sf_max": 5.2},
+                    "gen.sf_min"),
+    "cluster-fraction": ("generate --k 2 --d 3 --n 40",
+                         {"gen.cluster_min": 10, "gen.cluster_max": 40.9},
+                         "gen.cluster_max"),
+    "eval-seed-fraction": ("eval --graph {g}", {"seed": 2.5, "train.epochs": 1}, "seed"),
     "diagnose-width": ("diagnose --checkpoint {wide} --graph {g}", {}, "F=6"),
     "eval-width": ("eval --checkpoint {wide} --graph {g}", {}, "F=6"),
 }

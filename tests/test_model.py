@@ -107,22 +107,29 @@ def test_variant_table():
 # --- per-step numpy oracles for forward ------------------------------------
 
 
+def _softmax(logits):
+    """Softmax over the last axis, the numpy oracle of `ad.softmax`."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def hyperbolic_gcn_layer(h, a_hat, w, kind=mf.LORENTZ, slope=0.01):
     """One propagation step, exp0( leaky_relu( A . log0(H) . W ) ); the
     classic GCN rule on the euclidean manifold."""
-    return mf.lift(ad.leaky_relu(a_hat @ (mf.to_euclidean(h, kind) @ w), slope), kind)
+    x = a_hat @ (mf.to_euclidean(h, kind) @ w)
+    return mf.lift(np.where(x > 0, x, slope * x), kind)
 
 
 def consensus(per_dim, beta_logits, kind=mf.LORENTZ):
     """Softmax-weighted sum of per-dimension states in tangent coordinates."""
-    weights = ad.softmax(np.reshape(beta_logits, -1))
+    weights = _softmax(np.reshape(beta_logits, -1))
     return mf.lift(sum(b * mf.to_euclidean(h, kind) for b, h in zip(weights, per_dim)),
                    kind)
 
 
 def hierarchical_aggregate(mats, alpha_logits):
     """phi(sum_i alpha_ji A_i) per latent j, alpha the row softmax of the logits."""
-    stacked = np.tensordot(ad.softmax(alpha_logits), np.stack(mats), axes=1)
+    stacked = np.tensordot(_softmax(alpha_logits), np.stack(mats), axes=1)
     return list(np.maximum(stacked, 0.0))
 
 
@@ -430,22 +437,41 @@ def test_hierarchy_fixture_latent_connection_appears():
 # --- checkpoints ------------------------------------------------------------
 
 
+def _reachable(t):
+    seen, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        seen.append(node)
+        stack.extend(node._parents)
+    return seen
+
+
 def test_checkpoint_roundtrip(tmp_path):
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ,
                           dim_schedule=(3, 2, 1))
-    params = mdl.init_params(3, 5, cfg, seed=6)
-    q = ad.leaf(np.random.default_rng(15).normal(size=(4, 4)), name="Q")
-    path = tmp_path / "ckpt.npz"
-    mdl.save_checkpoint(path, params, q, cfg, meta={"seed": 7})
-    params2, q2, cfg2, meta = mdl.load_checkpoint(path)
-    assert cfg2 == cfg
-    assert meta == {"seed": 7}
-    assert np.array_equal(q2.value, q.value)
-    for (n1, t1), (n2, t2) in zip(params.named(), params2.named()):
-        assert n1 == n2
-        assert np.array_equal(t1.value, t2.value)
+    # both operator forms of a built level: dense union, then sparse (<= 7/40)
+    for graph, mode in [(random_graph(seed=16, n=7, d=3, f=5), "dense"),
+                        (sparse_ring_graph(40, 3, seed=2), "sparse")]:
+        params = mdl.init_params(3, graph.n_features, cfg, seed=6)
+        q = ad.leaf(np.random.default_rng(15).normal(size=(4, 4)), name="Q")
+        path = tmp_path / f"ckpt_{mode}.npz"
+        mdl.save_checkpoint(path, params, q, cfg, meta={"seed": 7})
+        params2, q2, cfg2, meta = mdl.load_checkpoint(path)
+        assert cfg2 == cfg
+        assert meta == {"seed": 7}
+        assert np.array_equal(q2.value, q.value) and not q2.requires_grad
+        for (n1, t1), (n2, t2) in zip(params.named(), params2.named()):
+            assert n1 == n2
+            assert np.array_equal(t1.value, t2.value)
+            assert not t2.requires_grad
 
-    g = random_graph(seed=16, n=7, d=3, f=5)
-    out1 = ad.val(mdl.forward(g, g.features, params, cfg).z)
-    out2 = ad.val(mdl.forward(g, g.features, params2, cfg2).z)
-    assert np.array_equal(out1, out2)
+        # the forward of the loaded constants records nothing, and equals
+        # the traced forward of the leaves it was saved from to the bit
+        traced = mdl.forward(graph, graph.features, params, cfg)
+        loaded = mdl.forward(graph, graph.features, params2, cfg2)
+        assert traced.hierarchy.levels[1].mode == loaded.hierarchy.levels[1].mode == mode
+        assert traced.z_tangent.requires_grad
+        assert not loaded.z_tangent.requires_grad
+        assert all(node._vjp is None for node in _reachable(loaded.z_tangent))
+        assert traced.z_tangent.value.tobytes() == loaded.z_tangent.value.tobytes()
+        assert traced.z.tobytes() == loaded.z.tobytes()

@@ -21,49 +21,52 @@ def small_graph(seed=1, n=6, d=3):
 
 def test_readout_single_node():
     z = np.array([[0.0, 0.7, -0.2]])
-    s = ad.val(tr.readout(z))
+    s = tr.readout(ad.constant(z)).value
     assert np.allclose(s, z, atol=1e-9)
 
 
 def test_readout_opposite_vectors_cancel():
-    z = np.array([[0.5, -0.3], [-0.5, 0.3]])
-    assert np.allclose(ad.val(tr.readout(z)), 0.0, atol=1e-12)
+    z = ad.constant(np.array([[0.5, -0.3], [-0.5, 0.3]]))
+    assert np.allclose(tr.readout(z).value, 0.0, atol=1e-12)
 
 
 def test_readout_is_column_mean():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(5, 3))
-    assert np.allclose(ad.val(tr.readout(z)), z.mean(axis=0),
+    assert np.allclose(tr.readout(ad.constant(z)).value, z.mean(axis=0),
                        atol=1e-12)
 
 
+def _score(s, z, q):
+    return tr.discriminate(ad.constant(s), ad.constant(z), ad.constant(q)).value
+
+
 def test_discriminate_orthogonal_gives_half():
-    s = np.array([1.0, 0.0])
-    z = np.array([0.0, 1.0])
-    assert float(tr.discriminate(s, z, np.eye(2))) == pytest.approx(0.5)
+    out = _score(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.eye(2))
+    assert out.shape == (1, 1) and out[0, 0] == pytest.approx(0.5)
 
 
 def test_discriminate_hand_value():
-    s = z = np.array([1.0, 0.0])
-    out = float(tr.discriminate(s, z, np.eye(2)))
-    assert out == pytest.approx(0.7310585786300049, abs=1e-12)
+    s = z = np.array([[1.0, 0.0]])
+    assert _score(s, z, np.eye(2))[0, 0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
 
 def test_discriminate_zero_bilinear_form():
     rng = np.random.default_rng(1)
-    scores = tr.discriminate(rng.normal(size=3), rng.normal(size=(7, 3)),
-                             np.zeros((3, 3)))
-    assert np.allclose(ad.val(scores), 0.5)
+    scores = _score(rng.normal(size=(1, 3)), rng.normal(size=(7, 3)), np.zeros((3, 3)))
+    assert scores.shape == (7, 1) and np.allclose(scores, 0.5)
 
 
 # --- objective ---------------------------------------------------------------
 
 
+def _objective(z, z_hat, q):
+    return float(tr.dgi_objective(ad.constant(z), ad.constant(z_hat), ad.constant(q)).value)
+
+
 def test_dgi_objective_all_half_scores():
     n, m = 4, 3
-    z = np.zeros((n, m))
-    z_hat = np.zeros((n, m))
-    out = float(ad.val(tr.dgi_objective(z, z_hat, np.eye(m))))
+    out = _objective(np.zeros((n, m)), np.zeros((n, m)), np.eye(m))
     assert out == pytest.approx(2 * n * np.log(0.5), abs=1e-9)
 
 
@@ -76,29 +79,26 @@ def test_dgi_objective_hand_value():
     pos = np.log(np.array([0.9, 0.8]) / (1 - np.array([0.9, 0.8])))[:, None]
     neg = np.log(np.array([0.1, 0.2]) / (1 - np.array([0.1, 0.2])))[:, None]
     q = np.eye(1)
-    val_pos = ad.val(tr.discriminate(s, pos, q)).ravel()
+    val_pos = _score(s, pos, q).ravel()
     assert np.allclose(val_pos, [0.9, 0.8])
     # drive the full objective through constructed logits: mean(pos) is the
     # summary, so score the exact vectors through a fixed Q instead
-    obj = float(sum(np.log(ad.val(tr.discriminate(s, p, q))).item() for p in pos)
-                + sum(np.log(1 - ad.val(tr.discriminate(s, m_, q))).item()
-                      for m_ in neg))
+    obj = float(np.log(val_pos).sum() + np.log(1 - _score(s, neg, q)).sum())
     assert obj == pytest.approx(-0.657008, abs=1e-6)
 
 
 def test_dgi_objective_near_perfect_discrimination():
     big = 30.0
-    s = np.array([[1.0]])
     pos = np.full((3, 1), big)
     neg = np.full((3, 1), -big)
-    out = float(ad.val(tr.dgi_objective(pos, neg, np.eye(1))))
+    out = _objective(pos, neg, np.eye(1))
     # summary is mean(pos) = big > 0, so positives score ~1, corrupted ~0
     assert -1e-9 < out < 0.0 or out == 0.0
 
 
 def test_dgi_objective_shape_mismatch():
     with pytest.raises(ad.ShapeError):
-        tr.dgi_objective(np.zeros((3, 2)), np.zeros((4, 2)), np.eye(2))
+        _objective(np.zeros((3, 2)), np.zeros((4, 2)), np.eye(2))
 
 
 # --- Adam --------------------------------------------------------------------
