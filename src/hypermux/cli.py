@@ -140,6 +140,9 @@ def resolve_config(config_file=None, overrides=None):
         raise ConfigError(f"eval.class_repeats must be >= 1, got {repeats}")
     if resolved["eval.t"] <= 0:
         raise ConfigError(f"eval.t must be > 0, got {resolved['eval.t']}")
+    ratio = resolved["eval.test_ratio"]
+    if not 0 < ratio < 1:
+        raise ConfigError(f"eval.test_ratio must be in (0, 1), got {ratio}")
     return resolved
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import manifold as mf
 from .autodiff import logistic
-from .graph import MultiplexGraph, edges_from_csr, _edges_to_csr
+from .graph import MultiplexGraph, _symmetric_csr, edge_keys, unique_keys
 
 
 class EvalError(ValueError):
@@ -47,6 +47,13 @@ def split_edges(graph: MultiplexGraph, ratios=(0.85, 0.15), seed=0) -> EdgeSplit
     Every dimension must keep at least one training edge; negatives are
     distinct node pairs verified absent from that dimension's adjacency
     (they may exist in other dimensions, as in the standard protocol).
+
+    A dimension's edges are its sorted int64 keys `i * n + j` (i <= j); a
+    boolean mask over them marks the held-out ones. Negatives come from
+    batches of uniform node pairs: a batch drops self-pairs, edges and
+    earlier negatives, keeps the first occurrence of each pair in draw
+    order, and tops the negatives up to the held-out count, as a
+    pair-by-pair loop over the batch would.
     """
     if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         raise EvalError(f"ratios must be nonnegative and sum to 1, got {ratios}")
@@ -54,42 +61,45 @@ def split_edges(graph: MultiplexGraph, ratios=(0.85, 0.15), seed=0) -> EdgeSplit
     n = graph.n_nodes
     test_pos, test_neg, train_dims = [], [], []
     for d, a in enumerate(graph.dims):
-        edges = edges_from_csr(a)
-        n_test = int(round(len(edges) * ratios[1]))
-        if len(edges) == 0 or (n_test > 0 and len(edges) - n_test < 1):
+        keys = edge_keys(a)
+        n_test = int(round(keys.size * ratios[1]))
+        if keys.size == 0 or (n_test > 0 and keys.size - n_test < 1):
             raise EvalError(
-                f"dimension {d} has {len(edges)} edges; cannot hold out {n_test} "
+                f"dimension {d} has {keys.size} edges; cannot hold out {n_test} "
                 f"and keep at least one for training")
-        pick = set(rng.choice(len(edges), size=n_test, replace=False).tolist()) \
-            if n_test else set()
-        kept = [e for k, e in enumerate(edges) if k not in pick]
-        held = [e for k, e in enumerate(edges) if k in pick]
-        test_pos.extend((d, i, j) for i, j in held)
-        train_dims.append(_edges_to_csr(n, kept))
+        held = np.zeros(keys.size, dtype=bool)
+        if n_test:
+            held[rng.choice(keys.size, size=n_test, replace=False)] = True
+        test_pos.extend(_triples(d, keys[held], n))
+        train_dims.append(_symmetric_csr(n, keys[~held]))
 
-        edge_set = set(edges)
-        negatives = set()
+        negatives = np.empty(0, dtype=np.int64)  # sorted
         guard = 0
-        while len(negatives) < n_test:
-            cand_i = rng.integers(0, n, size=4 * (n_test - len(negatives)) + 8)
+        while negatives.size < n_test:
+            cand_i = rng.integers(0, n, size=4 * (n_test - negatives.size) + 8)
             cand_j = rng.integers(0, n, size=cand_i.size)
-            for i, j in zip(cand_i.tolist(), cand_j.tolist()):
-                if i == j:
-                    continue
-                pair = (min(i, j), max(i, j))
-                if pair in edge_set or pair in negatives:
-                    continue
-                negatives.add(pair)
-                if len(negatives) == n_test:
-                    break
+            cand = np.minimum(cand_i, cand_j) * n + np.maximum(cand_i, cand_j)
+            cand = cand[cand_i != cand_j]
+            _, first = np.unique(cand, return_index=True)
+            cand = cand[np.sort(first)]  # each pair once, in draw order
+            # edges and negatives are disjoint, so their union is distinct
+            known = np.concatenate([keys, negatives])
+            fresh = cand[~np.isin(cand, known, assume_unique=True)][:n_test - negatives.size]
+            negatives = unique_keys(np.concatenate([negatives, fresh]))
             guard += 1
             if guard > 1000:
                 raise EvalError(f"dimension {d}: could not sample {n_test} non-edges")
-        test_neg.extend((d, i, j) for i, j in sorted(negatives))
+        test_neg.extend(_triples(d, negatives, n))
 
     train_graph = MultiplexGraph(n, train_dims, graph.features.copy(),
                                  copy.deepcopy(graph.labels))
     return EdgeSplit(train_graph, test_pos, test_neg, tuple(ratios), int(seed))
+
+
+def _triples(d, keys, n):
+    """(d, i, j) tuples of Python ints for the keys `i * n + j`."""
+    i, j = np.divmod(keys, n)
+    return zip([d] * keys.size, i.tolist(), j.tolist())
 
 
 # ---------------------------------------------------------------------------

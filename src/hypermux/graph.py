@@ -1,11 +1,17 @@
 """Multiplex graph representation, adjacency normalization, and disk I/O.
 
 Directory format:
-    meta.json      {"n_nodes": N, "n_dims": D, "n_features": F}
+    meta.json      {"n_nodes": N, "n_dims": D, "n_features": F}, JSON integers >= 1
     dims/<k>.edges one line per undirected edge, two 0-based node ids
     features.csv   N rows of F comma-separated reals (optional; synthesized
                    from per-dimension degrees when absent)
     labels.csv     optional, one line per node with comma-separated class ids
+
+In memory, a dimension's undirected edges travel as one sorted int64
+array of keys `i * n + j` (i <= j), from where they are drawn or read to
+where they are written: `edge_keys` takes them from a symmetric CSR
+matrix, `_symmetric_csr` builds one from them, and `unique_keys`
+removes duplicates. No per-edge Python object is made on the way.
 """
 
 from __future__ import annotations
@@ -119,15 +125,15 @@ def degree_features(dims):
 
 
 def _edges_to_csr(n, pairs):
-    if not pairs:
-        return sps.csr_matrix((n, n))
-    rows = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    cols = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    return _symmetric_csr(n, rows, cols)
+    """`_symmetric_csr` of an (m, 2) array-like of node pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return _symmetric_csr(n, pairs[:, 0] * n + pairs[:, 1])
 
 
-def _symmetric_csr(n, rows, cols):
-    """{0,1} symmetric N x N CSR with the undirected edges (rows[k], cols[k])."""
+def _symmetric_csr(n, keys):
+    """{0,1} symmetric N x N CSR with the undirected edges of the int64
+    keys `i * n + j`."""
+    rows, cols = np.divmod(keys, n)
     both_r = np.concatenate([rows, cols])
     both_c = np.concatenate([cols, rows])
     mat = sps.csr_matrix((np.ones(both_r.size), (both_r, both_c)), shape=(n, n))
@@ -146,8 +152,8 @@ def unique_keys(keys):
 
 
 def _read_edges(edge_file, n):
-    """Distinct undirected edges (i <= j) of one edge file, sorted, as
-    the arrays (i, j).
+    """Distinct undirected edges of one edge file as sorted keys
+    `i * n + j` (i <= j).
 
     The file is parsed at once: token boundaries and the line of every
     token come from array ops over its code points, the ids from one
@@ -180,8 +186,7 @@ def _read_edges(edge_file, n):
     if bad_lines.size:
         _raise_at(edge_file, text, bad_lines[0], "expected two node ids, got")
     i, j = ids[0::2], ids[1::2]
-    keys = unique_keys(np.minimum(i, j) * n + np.maximum(i, j))
-    return np.divmod(keys, n)
+    return unique_keys(np.minimum(i, j) * n + np.maximum(i, j))
 
 
 def _read_text(path):
@@ -217,10 +222,11 @@ def _raise_at(edge_file, text, line, problem, cause=None):
     raise GraphFormatError(f"{edge_file}:{line + 1}: {problem} {stripped!r}") from cause
 
 
-def edges_from_csr(a):
-    """Each undirected edge once, as sorted (i, j) with i <= j."""
-    coo = sps.triu(a).tocoo()
-    return sorted(zip(coo.row.tolist(), coo.col.tolist()))
+def edge_keys(a):
+    """Each undirected edge of a symmetric CSR matrix once, as sorted
+    int64 keys `i * n + j` with i <= j."""
+    upper = sps.triu(a, format="coo")
+    return np.sort(upper.row.astype(np.int64) * a.shape[0] + upper.col)
 
 
 def load_multiplex(path) -> MultiplexGraph:
@@ -228,20 +234,23 @@ def load_multiplex(path) -> MultiplexGraph:
     meta_file = path / "meta.json"
     if not meta_file.exists():
         raise GraphFormatError(f"missing meta file {meta_file}")
+    counts = ("n_nodes", "n_dims", "n_features")
     try:
         meta = json.loads(meta_file.read_text())
-        n = int(meta["n_nodes"])
-        d = int(meta["n_dims"])
-        f = int(meta["n_features"])
+        n, d, f = (meta[key] for key in counts)
     except (KeyError, ValueError, TypeError) as exc:
         raise GraphFormatError(f"bad meta file {meta_file}: {exc}") from exc
+    for key, value in zip(counts, (n, d, f)):
+        if type(value) is not int or value < 1:  # bool is an int subclass
+            raise GraphFormatError(
+                f"bad meta file {meta_file}: {key} must be an integer >= 1, got {value!r}")
 
     dims = []
     for k in range(d):
         edge_file = path / "dims" / f"{k}.edges"
         if not edge_file.exists():
             raise GraphFormatError(f"missing edge file {edge_file}")
-        dims.append(_symmetric_csr(n, *_read_edges(edge_file, n)))
+        dims.append(_symmetric_csr(n, _read_edges(edge_file, n)))
 
     feat_file = path / "features.csv"
     if feat_file.exists():
@@ -290,8 +299,9 @@ def save_multiplex(graph: MultiplexGraph, path):
             "n_features": graph.n_features}
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     for k, a in enumerate(graph.dims):
-        lines = [f"{i} {j}" for i, j in edges_from_csr(a)]
-        (path / "dims" / f"{k}.edges").write_text("\n".join(lines) + ("\n" if lines else ""))
+        ids = np.stack(np.divmod(edge_keys(a), graph.n_nodes), axis=1)
+        lines = ("%d %d\n" * len(ids)) % tuple(ids.ravel().tolist())
+        (path / "dims" / f"{k}.edges").write_text(lines)
     rows = [",".join(repr(float(v)) for v in row) for row in graph.features]
     (path / "features.csv").write_text("\n".join(rows) + "\n")
     if graph.labels is not None:

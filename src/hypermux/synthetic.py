@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import MultiplexGraph, _edges_to_csr, degree_features, derive_seed
+from .graph import MultiplexGraph, _symmetric_csr, degree_features, derive_seed, unique_keys
 
 P_IN_RANGE = (0.1, 0.2)
 P_OUT_RANGE = (0.01, 0.02)
@@ -121,13 +121,18 @@ class GenResult:
     resolved: dict
 
 
-def _pair_mask_edges(pairs_i, pairs_j, p, rng):
-    mask = rng.random(pairs_i.shape[0]) < p
-    return pairs_i[mask], pairs_j[mask]
+def _pair_mask_edges(keys, p, rng):
+    """The keys kept with probability p, by one uniform draw per key."""
+    return keys[rng.random(keys.size) < p]
 
 
 def generate(params: GenParams) -> GenResult:
-    """Build one multiplex graph; features are standardized degree profiles."""
+    """Build one multiplex graph; features are standardized degree profiles.
+
+    Each dimension's edges are collected as int64 keys `i * n + j`
+    (i < j), the draws of both populations appended per dimension and
+    deduplicated once by `unique_keys`.
+    """
     resolved = resolve_params(params)
     n, k, d = resolved["n_nodes"], resolved["n_clusters"], resolved["n_dims"]
     p_in, p_out = resolved["p_in"], resolved["p_out"]
@@ -136,17 +141,17 @@ def generate(params: GenParams) -> GenResult:
     labels = assign_clusters(params)
     rng = np.random.default_rng(derive_seed(params.seed, 2))
 
-    edge_sets = [set() for _ in range(d)]
+    dim_keys = [[] for _ in range(d)]
 
     # (a) between-cluster links, independently per dimension
     iu, ju = np.triu_indices(n, k=1)
     cross = labels[iu] != labels[ju]
-    cross_i, cross_j = iu[cross], ju[cross]
+    cross_keys = iu[cross] * n + ju[cross]
     between_edges = 0
     for dim in range(d):
-        ei, ej = _pair_mask_edges(cross_i, cross_j, p_out, rng)
-        between_edges += ei.size
-        edge_sets[dim].update(zip(ei.tolist(), ej.tolist()))
+        keys = _pair_mask_edges(cross_keys, p_out, rng)
+        between_edges += keys.size
+        dim_keys[dim].append(keys)
 
     # (b) within-cluster links, spread over SF_k dimensions
     spread_factors = []
@@ -160,23 +165,23 @@ def generate(params: GenParams) -> GenResult:
         for _ in range(sf):
             group = rng.choice(members, size=group_size, replace=False)
             dim = int(rng.integers(0, d))
-            by_dim.setdefault(dim, set()).update(group.tolist())
-        for dim, nodes in sorted(by_dim.items()):
-            nodes = np.array(sorted(nodes))
+            by_dim.setdefault(dim, []).append(group)
+        for dim, groups in sorted(by_dim.items()):
+            nodes = unique_keys(np.concatenate(groups))
             gi, gj = np.triu_indices(nodes.size, k=1)
-            ei, ej = _pair_mask_edges(nodes[gi], nodes[gj], p_in, rng)
+            keys = _pair_mask_edges(nodes[gi] * n + nodes[gj], p_in, rng)
             within_pairs += gi.size
-            within_edges += ei.size
-            edge_sets[dim].update(zip(ei.tolist(), ej.tolist()))
+            within_edges += keys.size
+            dim_keys[dim].append(keys)
 
-    dims = [_edges_to_csr(n, sorted(edge_sets[dim])) for dim in range(d)]
+    dims = [_symmetric_csr(n, unique_keys(np.concatenate(keys))) for keys in dim_keys]
     graph = MultiplexGraph(n, dims, degree_features(dims),
                            labels=[[int(c)] for c in labels]).validate()
     resolved["spread_factors"] = spread_factors
     resolved["cluster_sizes"] = np.bincount(labels, minlength=k).tolist()
     resolved["within_group_pairs"] = int(within_pairs)
     resolved["within_group_edges"] = int(within_edges)
-    resolved["between_pairs"] = int(cross_i.size) * d
+    resolved["between_pairs"] = int(cross_keys.size) * d
     resolved["between_edges"] = int(between_edges)
     return GenResult(graph, labels, resolved)
 

@@ -291,6 +291,7 @@ def test_any_json_config_builds_or_exits_one(tmp_path_factory, key, value, other
     for k in cli.INTEGER_OR_NULL:
         assert resolved[k] is None or type(resolved[k]) is int, (k, resolved[k])
     assert resolved["eval.t"] > 0
+    assert 0 < resolved["eval.test_ratio"] < 1
     try:
         cli._gen_params(resolved)
         cli._model_config(resolved)
@@ -451,6 +452,24 @@ BAD_INPUTS = {
     "eval-seed-fraction": ("eval --graph {g}", {"seed": 2.5, "train.epochs": 1}, "seed"),
     "diagnose-width": ("diagnose --checkpoint {wide} --graph {g}", {}, "F=6"),
     "eval-width": ("eval --checkpoint {wide} --graph {g}", {}, "F=6"),
+    "eval-test-ratio-zero": ("eval --graph {g}", {"eval.test_ratio": 0.0, "train.epochs": 1,
+                                                  "model.embed": 4}, "eval.test_ratio"),
+    "ablate-test-ratio-one": ("ablate --graph {g} --seeds 1 --epochs 1",
+                              {"eval.test_ratio": 1.0}, "eval.test_ratio"),
+    "meta-nodes-negative": ("train --graph {g} --epochs 1", {}, "n_nodes"),
+    "meta-nodes-zero": ("eval --graph {g}", {"train.epochs": 1}, "n_nodes"),
+    "meta-nodes-fraction": ("train --graph {g} --epochs 1", {}, "n_nodes"),
+    "meta-dims-bool": ("train --graph {g} --epochs 1", {}, "n_dims"),
+    "meta-features-text": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "n_features"),
+}
+
+# meta.json counts that replace the generated graph's own
+BAD_META = {
+    "meta-nodes-negative": {"n_nodes": -3},
+    "meta-nodes-zero": {"n_nodes": 0},
+    "meta-nodes-fraction": {"n_nodes": 4.7},
+    "meta-dims-bool": {"n_dims": True},
+    "meta-features-text": {"n_features": "3"},
 }
 
 
@@ -471,6 +490,9 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         save_multiplex(graph, tmp_path / "g6")
         assert run(["train", "--graph", str(tmp_path / "g6"), "--embed", "4",
                     "--epochs", "1", "--out", str(wide)]) == 0
+    if case in BAD_META:
+        meta_file = graph_dir / "meta.json"
+        meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), **BAD_META[case]}))
     monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")
@@ -481,6 +503,8 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
     if case.endswith("width"):
         assert "F=3" in err
+    if case in BAD_META:
+        assert str(graph_dir / "meta.json") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sps
+from hypothesis import assume, given, settings, strategies as st
 
 import hypermux.manifold as mf
 from hypermux import evaluate as ev
@@ -60,6 +61,79 @@ def test_split_rejects_too_few_edges():
 def test_split_bad_ratios():
     with pytest.raises(ev.EvalError):
         ev.split_edges(toy_graph(), (0.7, 0.2), seed=0)
+
+
+def loop_split(graph, ratio, seed):
+    """Pair-by-pair reference for `split_edges`: held-out pairs, kept pairs
+    and negatives of each dimension, with the same `rng` calls in the same
+    order, edges and negatives kept as Python sets of (i, j) tuples."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 31]))
+    n = graph.n_nodes
+    out = []
+    for a in graph.dims:
+        coo = sps.triu(a).tocoo()
+        edges = sorted(zip(coo.row.tolist(), coo.col.tolist()))
+        n_test = int(round(len(edges) * ratio))
+        pick = set(rng.choice(len(edges), size=n_test, replace=False).tolist()) \
+            if n_test else set()
+        held = [e for k, e in enumerate(edges) if k in pick]
+        kept = [e for k, e in enumerate(edges) if k not in pick]
+        edge_set, negatives = set(edges), set()
+        while len(negatives) < n_test:
+            cand_i = rng.integers(0, n, size=4 * (n_test - len(negatives)) + 8)
+            cand_j = rng.integers(0, n, size=cand_i.size)
+            for i, j in zip(cand_i.tolist(), cand_j.tolist()):
+                pair = (min(i, j), max(i, j))
+                if i == j or pair in edge_set or pair in negatives:
+                    continue
+                negatives.add(pair)
+                if len(negatives) == n_test:
+                    break
+        out.append((held, kept, sorted(negatives)))
+    return out
+
+
+@st.composite
+def split_cases(draw):
+    """Small multiplex graphs whose dimensions run from one edge to nearly
+    complete, with a held-out ratio that leaves a training edge and enough
+    non-edges for the negatives. Nearly complete dimensions reject most
+    candidate pairs, so their negatives take several batches."""
+    n = draw(st.integers(3, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ratio = draw(st.sampled_from([0.1, 0.15, 0.3, 0.5]))
+    dims = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = len(pairs) - draw(st.integers(0, len(pairs) - 1))
+        n_test = int(round(m * ratio))
+        assume(m - n_test >= 1 and len(pairs) - m >= n_test)
+        order = draw(st.permutations(range(len(pairs))))
+        dims.append([pairs[k] for k in order[:m]])
+    return n, dims, ratio, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_edges_properties(case):
+    from hypermux.graph import MultiplexGraph, _edges_to_csr, edge_keys
+    n, dims, ratio, seed = case
+    g = MultiplexGraph(n, [_edges_to_csr(n, e) for e in dims], np.zeros((n, 1)))
+    split = ev.split_edges(g, (1.0 - ratio, ratio), seed=seed)
+    reference = loop_split(g, ratio, seed)
+    for d, edges in enumerate(dims):
+        held = [(i, j) for dim, i, j in split.test_pos if dim == d]
+        kept = np.divmod(edge_keys(split.train_graph.dims[d]), n)
+        kept = list(zip(kept[0].tolist(), kept[1].tolist()))
+        assert not set(held) & set(kept) and set(held) | set(kept) == set(edges)
+        assert len(held) == int(round(len(edges) * ratio))
+        neg = [(i, j) for dim, i, j in split.test_neg if dim == d]
+        assert neg == sorted(set(neg)) and len(neg) == len(held)
+        assert all(i < j and (i, j) not in set(edges) for i, j in neg)
+        assert (held, kept, neg) == reference[d]
+    again = ev.split_edges(g, (1.0 - ratio, ratio), seed=seed)
+    assert again.test_pos == split.test_pos and again.test_neg == split.test_neg
+    assert all((a != b).nnz == 0 for a, b in zip(again.train_graph.dims,
+                                                 split.train_graph.dims))
 
 
 # --- AUC / AP ----------------------------------------------------------------
