@@ -21,7 +21,7 @@ import numpy as np
 
 from . import manifold as mf
 from .autodiff import logistic
-from .graph import MultiplexGraph, _symmetric_csr, edge_keys, unique_keys
+from .graph import MultiplexGraph, _symmetric_csr, edge_keys
 
 
 class EvalError(ValueError):
@@ -85,7 +85,7 @@ def split_edges(graph: MultiplexGraph, ratios=(0.85, 0.15), seed=0) -> EdgeSplit
             # edges and negatives are disjoint, so their union is distinct
             known = np.concatenate([keys, negatives])
             fresh = cand[~np.isin(cand, known, assume_unique=True)][:n_test - negatives.size]
-            negatives = unique_keys(np.concatenate([negatives, fresh]))
+            negatives = np.sort(np.concatenate([negatives, fresh]))
             guard += 1
             if guard > 1000:
                 raise EvalError(f"dimension {d}: could not sample {n_test} non-edges")

@@ -300,8 +300,8 @@ def save_multiplex(graph: MultiplexGraph, path):
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     for k, a in enumerate(graph.dims):
         ids = np.stack(np.divmod(edge_keys(a), graph.n_nodes), axis=1)
-        lines = ("%d %d\n" * len(ids)) % tuple(ids.ravel().tolist())
-        (path / "dims" / f"{k}.edges").write_text(lines)
+        text = ("%d %d\n" * len(ids)) % tuple(ids.ravel().tolist())
+        (path / "dims" / f"{k}.edges").write_text(text)
     rows = [",".join(repr(float(v)) for v in row) for row in graph.features]
     (path / "features.csv").write_text("\n".join(rows) + "\n")
     if graph.labels is not None:
