@@ -451,11 +451,6 @@ def transpose(a):
     return _node(a.value.T, (a,), lambda g: (g.T,))
 
 
-def reshape(a, shape):
-    old = a.value.shape
-    return _node(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
 def block_matmul(x, weights, block):
     """Per-block linear maps: rows [d*block, (d+1)*block) of x hit weights[d].
 

@@ -236,9 +236,23 @@ def _embed_checkpoint(checkpoint, graph):
     return model_config, out.z, val(out.z_tangent)
 
 
-def _check_seeds(n):
+def _scores(z, z_tangent, manifold, split, labels, seed, resolved):
+    """AUC/AP of the lifted `z` on `split`'s held-out edges, and the F1
+    scores of `z_tangent` when `labels` are given (None otherwise)."""
+    auc, ap = ev.link_prediction_eval(z, split, kind=manifold, r=float(resolved["eval.r"]),
+                                      t=float(resolved["eval.t"]))
+    scores = {"auc": auc, "ap": ap, "f1_macro": None, "f1_micro": None}
+    if labels is not None:
+        cls = ev.classification_eval(z_tangent, labels, seed=seed,
+                                     n_repeats=int(resolved["eval.class_repeats"]),
+                                     l2=float(resolved["eval.logreg_l2"]))
+        scores.update(f1_macro=cls["f1_macro"], f1_micro=cls["f1_micro"])
+    return scores
+
+
+def _check_count(flag, n):
     if n < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {n}")
+        raise ConfigError(f"{flag} must be >= 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +334,14 @@ def _cmd_eval(args):
         model_config = _model_config(resolved)
         outcome = train(split.train_graph, model_config, _train_config(resolved))
         z, z_tan = outcome.z_final, outcome.z_tangent
-    auc, ap = ev.link_prediction_eval(z, split, kind=model_config.manifold,
-                                      r=float(resolved["eval.r"]),
-                                      t=float(resolved["eval.t"]))
-    payload = {"task": "link_prediction", "auc": auc, "ap": ap,
-               "f1_macro": None, "f1_micro": None,
-               "seed": int(resolved["seed"]), "config_hash": config_hash(resolved)}
-    lines = [payload]
+    scores = _scores(z, z_tan, model_config.manifold, split, graph.labels,
+                     int(resolved["seed"]), resolved)
+    run = {"seed": int(resolved["seed"]), "config_hash": config_hash(resolved)}
+    lines = [{"task": "link_prediction", "auc": scores["auc"], "ap": scores["ap"],
+              "f1_macro": None, "f1_micro": None, **run}]
     if graph.labels is not None:
-        cls = ev.classification_eval(z_tan, graph.labels, seed=int(resolved["seed"]),
-                                     n_repeats=int(resolved["eval.class_repeats"]),
-                                     l2=float(resolved["eval.logreg_l2"]))
         lines.append({"task": "classification", "auc": None, "ap": None,
-                      "f1_macro": cls["f1_macro"], "f1_micro": cls["f1_micro"],
-                      "seed": int(resolved["seed"]),
-                      "config_hash": config_hash(resolved)})
+                      "f1_macro": scores["f1_macro"], "f1_micro": scores["f1_micro"], **run})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(json.dumps(l, sort_keys=True) for l in lines) + "\n")
@@ -364,7 +371,8 @@ def _cmd_sweep(args):
         "gen.n_nodes": args.n, "gen.n_clusters": args.k,
         "train.epochs": args.epochs, "seed": args.seed,
     })
-    _check_seeds(args.seeds)
+    _check_count("--seeds", args.seeds)
+    _check_count("--workers", args.workers)
     TrainConfig(max_epochs=int(resolved["train.epochs"])).validate()
     d_values = _parse_d_range(args.d)
     base = _gen_params(resolved)
@@ -398,7 +406,7 @@ def _cmd_ablate(args):
     resolved = resolve_config(args.config, {
         "train.epochs": args.epochs, "seed": args.seed,
     })
-    _check_seeds(args.seeds)
+    _check_count("--seeds", args.seeds)
     configs = _variant_configs(resolved, ABLATION_VARIANTS)
     train_config = _train_config(resolved)
     graph = load_multiplex(args.graph)
@@ -416,20 +424,10 @@ def _cmd_ablate(args):
             if key not in trained:
                 trained[key] = train(split.train_graph, config, tc)
             outcome = trained[key]
-            auc, ap = ev.link_prediction_eval(
-                lift(outcome.z_tangent, config.manifold), split, kind=config.manifold,
-                r=float(resolved["eval.r"]), t=float(resolved["eval.t"]))
-            row = {"variant": variant, "seed": s, "auc": auc, "ap": ap,
-                   "f1_macro": None, "f1_micro": None,
-                   "loss_final": outcome.final_loss}
-            if graph.labels is not None:
-                cls = ev.classification_eval(
-                    outcome.z_tangent, graph.labels, seed=run_seed,
-                    n_repeats=int(resolved["eval.class_repeats"]),
-                    l2=float(resolved["eval.logreg_l2"]))
-                row["f1_macro"] = cls["f1_macro"]
-                row["f1_micro"] = cls["f1_micro"]
-            rows.append(row)
+            rows.append({"variant": variant, "seed": s, "loss_final": outcome.final_loss,
+                         **_scores(lift(outcome.z_tangent, config.manifold),
+                                   outcome.z_tangent, config.manifold, split,
+                                   graph.labels, run_seed, resolved)})
     rows.sort(key=lambda row: ABLATION_VARIANTS.index(row["variant"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,8 @@
 """Multiplex graph representation, adjacency normalization, and disk I/O.
 
 Directory format:
-    meta.json      {"n_nodes": N, "n_dims": D, "n_features": F}, JSON integers >= 1
+    meta.json      {"n_nodes": N, "n_dims": D, "n_features": F}, JSON integers >= 1,
+                   N at most MAX_NODES
     dims/<k>.edges one line per undirected edge, two 0-based node ids
     features.csv   N rows of F comma-separated reals (optional; synthesized
                    from per-dimension degrees when absent)
@@ -229,6 +230,9 @@ def edge_keys(a):
     return np.sort(upper.row.astype(np.int64) * a.shape[0] + upper.col)
 
 
+MAX_NODES = 3_037_000_499  # the largest n with n * n - 1, the largest key, below 2**63
+
+
 def load_multiplex(path) -> MultiplexGraph:
     path = Path(path)
     meta_file = path / "meta.json"
@@ -244,6 +248,10 @@ def load_multiplex(path) -> MultiplexGraph:
         if type(value) is not int or value < 1:  # bool is an int subclass
             raise GraphFormatError(
                 f"bad meta file {meta_file}: {key} must be an integer >= 1, got {value!r}")
+    if n > MAX_NODES:
+        raise GraphFormatError(
+            f"bad meta file {meta_file}: n_nodes must be <= {MAX_NODES}, so that "
+            f"edge keys i * n + j fit in int64, got {n}")
 
     dims = []
     for k in range(d):

@@ -165,73 +165,53 @@ DENSE_UNION_DENSITY = 0.25  # built levels of a denser union propagate densely
 
 
 class UnionPattern(ad.SymmetricPattern):
-    """One graph's union of input supports plus the diagonal, in CSR order.
+    """One graph's union of normalized input supports, in CSR order.
 
-    Every hierarchy level lives on it. `mode` is the storage of the built
+    Every hierarchy level lives on it. It holds the diagonal, since every
+    normalized input is A + I. `mode` is the storage of the built
     levels' operators: "dense" when the union fills more than
     DENSE_UNION_DENSITY of the N x N entries (a BLAS product then beats
     a CSR product and its transpose), "sparse" otherwise.
     """
 
-    def __init__(self, mats):
-        """`mats`: the graph's N x N sparse input matrices."""
-        n = mats[0].shape[0]
-        coos = [m.tocoo() for m in mats]
-        keys = unique_keys(np.concatenate(
-            [c.row.astype(np.int64) * n + c.col for c in coos]
-            + [np.arange(n, dtype=np.int64) * (n + 1)]))  # row-major offsets
+    def __init__(self, keys, n):
+        """`keys`: the entries' sorted distinct row-major offsets `row * n + col`."""
         super().__init__(keys // n, keys % n, n)
         self.density = self.nnz / (n * n)
         self.mode = "dense" if self.density > DENSE_UNION_DENSITY else "sparse"
 
-    def values_of(self, mats):
-        """(D, nnz) values of the given N x N sparse matrices on the pattern."""
-        out = np.zeros((len(mats), self.nnz))
-        n = self.n
-        for d, m in enumerate(mats):
-            c = m.tocoo()
-            out[d, np.searchsorted(self._flat, c.row.astype(np.int64) * n + c.col)] = c.data
-        return out
-
 
 class StackedAdjacency:
-    """D symmetric N x N adjacencies on one `UnionPattern`.
+    """D symmetric N x N adjacencies on one `UnionPattern`; this one
+    constructor makes every level.
 
     `values` holds them as a (D, nnz) array over `union`; for propagation
     they act as one (D*N, N) vertical block stack, stored by `mode`:
-           "const"  - input level, the normalized inputs as scipy CSR
-                      (`csr`), never traced;
-           "dense"  - traced values; `op` is their filled (D*N, N) array;
-           "sparse" - traced values; `op` is their CSR over the union's
-                      column indices tiled D times.
+           "const"  - given `csr`, their stack as scipy CSR: the input
+                      level, never traced;
+           "dense"  - built level of a dense union: traced values, `op`
+                      their filled (D*N, N) array;
+           "sparse" - built level of a sparse union: traced values, `op`
+                      their CSR over the union's column indices tiled D times.
     A built level makes its `ad.StackedOperator` once, and the clean and
     the corrupted pass both multiply by it through `ad.spmm`, whose
     adjoints form no (D*N, N) array.
     """
 
-    def __init__(self, union, values, mode, csr=None, op=None):
+    def __init__(self, union, values, csr=None):
         self.union = union
         self.n = union.n
         self.n_blocks = val(values).shape[0]
         self.values = values
-        self.mode = mode
         self.csr = csr
-        self.op = op
+        if csr is None:
+            self.mode = union.mode
+            self.op = ad.StackedOperator(union, values, dense=union.mode == "dense")
+        else:
+            self.mode, self.op = "const", None
 
     # the operator under the names benchmarks/tracing.py reads per mode
     pattern = dense = property(lambda self: self.op)
-
-    @classmethod
-    def from_csr_list(cls, mats, union):
-        mats = [m.tocsr() for m in mats]
-        return cls(union, union.values_of(mats), "const",
-                   csr=sps.vstack(mats, format="csr"))
-
-    @classmethod
-    def built(cls, union, values):
-        """A traced level, its operator stored as the union's `mode` says."""
-        return cls(union, values, union.mode,
-                   op=ad.StackedOperator(union, values, dense=union.mode == "dense"))
 
     def matmul(self, x):
         """(D*N, N) @ (N, F): propagation through every block at once."""
@@ -241,10 +221,18 @@ class StackedAdjacency:
 
 
 def prepare_adjacencies(graph):
-    """Normalize every input dimension once, at load time, and stack them
-    on the graph's union pattern."""
-    mats = [normalize_adjacency(a) for a in graph.dims]
-    return StackedAdjacency.from_csr_list(mats, UnionPattern(mats))
+    """Level 0: every input dimension normalized once, at load time, and
+    stacked into one (D*N, N) CSR. Each stored entry's key
+    `(row % N) * N + col` is worked out once; their distinct values are
+    the union, and one `searchsorted` places every value on it."""
+    n = graph.n_nodes
+    csr = sps.vstack([normalize_adjacency(a) for a in graph.dims], format="csr")
+    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr))
+    keys = (rows % n) * n + csr.indices
+    union_keys = unique_keys(keys)
+    values = np.zeros((graph.n_dims, union_keys.size))
+    values[rows // n, np.searchsorted(union_keys, keys)] = csr.data
+    return StackedAdjacency(UnionPattern(union_keys, n), values, csr=csr)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +283,7 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
         raw = ad.relu(ad.matmul(alpha, current.values))
         raw_all.append(val(raw))
         if l < len(params.layers):
-            levels.append(StackedAdjacency.built(union, ad.normalize_blocks(raw, union)))
+            levels.append(StackedAdjacency(union, ad.normalize_blocks(raw, union)))
     return Hierarchy(levels, raw_all, dev)
 
 
@@ -312,7 +300,7 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
         prop_all = hierarchy.levels[l].matmul(h)  # (D*N, F_in)
         per_dim = ad.leaky_relu(ad.block_matmul(prop_all, layer.weights, n),
                                 config.leaky_slope)
-        beta = ad.softmax(ad.reshape(layer.beta_logits, (1, -1)), axis=-1)
+        beta = ad.softmax(layer.beta_logits, axis=-1)
         dev = max(dev, float(abs(val(beta).sum() - 1.0)))
         h = ad.block_weighted_sum(per_dim, beta, n)
     return h, dev

@@ -144,7 +144,6 @@ class TrainResult:
     z_tangent: np.ndarray  # euclidean (tangent) coordinates
     history: list
     final_loss: float
-    best_loss: float
     n_epochs: int
     max_lorentz_violation: float = 0.0  # of the output lift
     max_softmax_dev: float = 0.0
@@ -219,8 +218,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     return TrainResult(
         params=params, discriminator=q, config=model_config,
         z_final=z_final, z_tangent=z_tangent, history=history,
-        final_loss=history[-1].loss, best_loss=min(r.loss for r in history),
-        n_epochs=epoch,
+        final_loss=history[-1].loss, n_epochs=epoch,
         max_lorentz_violation=violation, max_softmax_dev=max_dev,
         aborted=aborted)
 

@@ -52,8 +52,6 @@ PRIMITIVE_PROBES = {
     "mean": (lambda v: ad.tmean(v["a"]), {"a": _mat((3, 4))}),
     "transpose": (lambda v: ad.tsum(ad.matmul(ad.transpose(v["a"]), v["a"])),
                   {"a": _mat((3, 4))}),
-    "reshape": (lambda v: ad.tsum(ad.mul(ad.reshape(v["a"], (2, 6)), v["b"])),
-                {"a": _mat((3, 4)), "b": _mat((2, 6))}),
     "gather_nd": (lambda v: ad.tsum(ad.gather_nd(v["a"], [0, 1, 2], [1, 0, 2])),
                   {"a": _mat((3, 4))}),
     "scatter_nd": (lambda v, _w=_mat((3, 4)): ad.tsum(ad.mul(

@@ -402,12 +402,15 @@ def test_byte_identical_reruns(tmp_path):
     "sweep --d 0,2 --n 30 --k 2 --out {out}.csv",
     "sweep --d 2 --seeds 0 --n 30 --k 2 --out {out}.csv",
     "sweep --d 2 --epochs 0 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 2 --workers 0 --n 30 --k 2 --out {out}.csv",
+    "sweep --d 2 --workers -2 --n 30 --k 2 --out {out}.csv",
     "train --graph {g} --epochs 0 --out {out}",
     "train --graph {g} --lr -1 --out {out}",
     "ablate --graph {g} --seeds 0 --out {out}",
     "ablate --graph {g} --epochs 0 --out {out}",
 ], ids=["d-not-int", "d-step-0", "d-empty", "d-zero", "sweep-seeds-0", "sweep-epochs-0",
-        "train-epochs-0", "train-lr-negative", "ablate-seeds-0", "ablate-epochs-0"])
+        "sweep-workers-0", "sweep-workers-negative", "train-epochs-0", "train-lr-negative",
+        "ablate-seeds-0", "ablate-epochs-0"])
 def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
     graph_dir = tmp_path / "g"
     run(gen_args(graph_dir))
@@ -415,6 +418,7 @@ def test_bad_numeric_input_exits_one(tmp_path, capsys, argv):
     assert run(argv.format(g=graph_dir, out=tmp_path / "out").split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "--workers" in err or "--workers" not in argv
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 
@@ -459,6 +463,7 @@ BAD_INPUTS = {
     "meta-nodes-negative": ("train --graph {g} --epochs 1", {}, "n_nodes"),
     "meta-nodes-zero": ("eval --graph {g}", {"train.epochs": 1}, "n_nodes"),
     "meta-nodes-fraction": ("train --graph {g} --epochs 1", {}, "n_nodes"),
+    "meta-nodes-beyond-keys": ("train --graph {g} --epochs 1", {}, "n_nodes"),
     "meta-dims-bool": ("train --graph {g} --epochs 1", {}, "n_dims"),
     "meta-features-text": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "n_features"),
 }
@@ -468,6 +473,7 @@ BAD_META = {
     "meta-nodes-negative": {"n_nodes": -3},
     "meta-nodes-zero": {"n_nodes": 0},
     "meta-nodes-fraction": {"n_nodes": 4.7},
+    "meta-nodes-beyond-keys": {"n_nodes": 3_037_000_500},
     "meta-dims-bool": {"n_dims": True},
     "meta-features-text": {"n_features": "3"},
 }

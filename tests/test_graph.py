@@ -160,6 +160,16 @@ def test_load_node_out_of_range_names_file_and_line(tmp_path):
         gm.load_multiplex(tmp_path)
 
 
+def test_load_rejects_n_nodes_beyond_int64_keys(tmp_path):
+    assert gm.MAX_NODES ** 2 - 1 <= 2**63 - 1 < (gm.MAX_NODES + 1) ** 2 - 1
+    (tmp_path / "dims").mkdir()
+    (tmp_path / "meta.json").write_text(
+        f'{{"n_nodes": {gm.MAX_NODES + 1}, "n_dims": 1, "n_features": 1}}')
+    (tmp_path / "dims" / "0.edges").write_text("0 1\n")
+    with pytest.raises(gm.GraphFormatError, match=r"meta\.json: n_nodes must be <= 3037000499"):
+        gm.load_multiplex(tmp_path)
+
+
 def test_load_missing_meta(tmp_path):
     with pytest.raises(gm.GraphFormatError, match="meta"):
         gm.load_multiplex(tmp_path)

@@ -345,6 +345,28 @@ def test_storage_mode_follows_union_density(graph, mode):
     assert sorted(level0.union._stacked) == ([2] if mode == "sparse" else [])
 
 
+@pytest.mark.parametrize("p, mode", [(0.05, "sparse"), (0.5, "dense")])
+def test_level0_is_the_normalized_inputs_to_the_bit(p, mode):
+    # a self-loop in dimension 0, node n-1 isolated everywhere, dimension 2 edgeless
+    n, rng = 30, np.random.default_rng(21)
+    dims = []
+    for _ in range(2):
+        a = np.triu(rng.random((n, n)) < p, 1).astype(float)
+        a[-1, :] = a[:, -1] = 0.0
+        dims.append(a + a.T)
+    dims[0][3, 3] = 1.0
+    dims.append(np.zeros((n, n)))
+    x = rng.normal(size=(n, 4))
+    g = MultiplexGraph(n, [sps.csr_matrix(a) for a in dims], x).validate()
+    level0 = mdl.prepare_adjacencies(g)
+    assert level0.union.mode == mode and level0.mode == "const"
+    mats = [normalize_adjacency(a) for a in g.dims]
+    for d, m in enumerate(mats):
+        assert np.array_equal(level0.union.to_dense(level0.values[d]), m.toarray())
+    got = level0.matmul(ad.constant(x)).value
+    assert np.array_equal(got, np.vstack([m @ x for m in mats]))
+
+
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_hierarchy_holds_only_levels_propagate_reads(n_layers, monkeypatch):
     g = sparse_ring_graph(60, 6, seed=1)  # union density <= 13/60: sparse
