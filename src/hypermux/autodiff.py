@@ -8,13 +8,14 @@ tape, since the output is lifted once after training. Every op takes
 as a constant), returns a `Tensor`, and records a closure mapping the
 output adjoint onto the input adjoints only when an operand requires a
 gradient: on constants alone it records nothing, so a forward-only pass
-keeps no tape. `logistic` is the plain numpy kernel `sigmoid` runs, for
-callers outside the tape. `backward` replays the closures in
-reverse topological order and frees each interior node's adjoint once
-its closure has consumed it, so a sweep holds the tape's values plus
-the adjoints still to be propagated; afterwards only leaves hold
-`.grad`. A node reached along several paths gets the sum of their
-adjoints as a new array; no adjoint is updated in place.
+keeps no tape. `logistic` and `softmax_array` are the plain numpy
+kernels `sigmoid` and `softmax` run, for callers outside the tape.
+`backward` replays the closures in reverse topological order and frees
+each interior node's adjoint once its closure has consumed it, so a
+sweep holds the tape's values plus the adjoints still to be propagated;
+afterwards only leaves hold `.grad`. A node reached along several
+paths gets the sum of their adjoints as a new array; no adjoint is
+updated in place.
 
 Sparse adjacency matrices participate in two forms: as constants
 (`spmm_const`, adjoint w.r.t. the dense operand only) and as traced
@@ -417,9 +418,14 @@ def clip(a, lo, hi):
     return _node(np.clip(a.value, lo, hi), (a,), lambda g: (g,))
 
 
+def softmax_array(x, axis=-1):
+    """exp(x) / sum(exp(x)) along `axis` of an ndarray, shifted by the max."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis=-1):
-    e = np.exp(a.value - a.value.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_array(a.value, axis)
     return _node(y, (a,),
                  lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 

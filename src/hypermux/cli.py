@@ -40,7 +40,7 @@ class _UsageError(Exception):
 
 # errors of bad input; `dispatch` turns them into exit code 1
 EXIT_ONE_ERRORS = (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
-                   mdl.ModelConfigError, TrainConfigError)
+                   geo.EstimatorError, mdl.ModelConfigError, TrainConfigError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +140,8 @@ def resolve_config(config_file=None, overrides=None):
         raise ConfigError(f"eval.class_repeats must be >= 1, got {repeats}")
     if resolved["eval.t"] <= 0:
         raise ConfigError(f"eval.t must be > 0, got {resolved['eval.t']}")
+    if resolved["eval.logreg_l2"] < 0:
+        raise ConfigError(f"eval.logreg_l2 must be >= 0, got {resolved['eval.logreg_l2']}")
     ratio = resolved["eval.test_ratio"]
     if not 0 < ratio < 1:
         raise ConfigError(f"eval.test_ratio must be in (0, 1), got {ratio}")
@@ -373,7 +375,7 @@ def _cmd_sweep(args):
     })
     _check_count("--seeds", args.seeds)
     _check_count("--workers", args.workers)
-    TrainConfig(max_epochs=int(resolved["train.epochs"])).validate()
+    train_config = _train_config(resolved)
     d_values = _parse_d_range(args.d)
     base = _gen_params(resolved)
     specs = sweep_specs(base, d_values)
@@ -385,8 +387,8 @@ def _cmd_sweep(args):
             raise ConfigError(f"unknown model variant {m!r}; "
                               f"choose from {sorted(mdl.MODEL_VARIANTS)}")
     rows, failures = geo.sweep(
-        specs, _variant_configs(resolved, models), range(args.seeds),
-        max_epochs=int(resolved["train.epochs"]), workers=args.workers)
+        specs, _variant_configs(resolved, models), range(args.seeds), train_config,
+        workers=args.workers)
     geo.write_sweep_csv(rows, args.out)
     _write_resolved(resolved, Path(args.out))
     for fail in failures:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold as mf
-from .autodiff import logistic
+from .autodiff import logistic, softmax_array
 from .graph import MultiplexGraph, _symmetric_csr, edge_keys
 
 
@@ -203,12 +203,6 @@ class Classifier:
     multilabel: bool
 
 
-def _softmax_rows(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 _LBFGS_MEMORY = 10  # (s, y) pairs kept for the inverse-Hessian estimate
 
 
@@ -307,7 +301,7 @@ def fit_logreg(embeddings, labels, l2=1e-4, max_iter=5000, tol=1e-5) -> Classifi
 
         def loss_grad(params):
             w = params.reshape(c, e + 1)
-            p = _softmax_rows(xb @ w.T)
+            p = softmax_array(xb @ w.T)
             nll = -np.log(p[np.arange(n), y_idx] + 1e-12).mean()
             penalty = 0.5 * l2 * (w[:, :-1] ** 2).sum()
             g = ((p - onehot).T @ xb) / n

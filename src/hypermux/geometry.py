@@ -21,7 +21,7 @@ on a much lower-dimensional (hence strongly curved) manifold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,25 +138,24 @@ class SweepRow:
     loss_final: float
 
 
-def sweep(specs, models, seeds, max_epochs=150, workers=1):
+def sweep(specs, models, seeds, train_config, workers=1):
     """Generate, train, and measure the end-of-training gap per run.
 
     `specs` are generator parameter sets (one per D), `models` maps a
     variant name to its `model.ModelConfig`, `seeds` is an iterable of
-    run seeds. Individual run failures are recorded and the sweep
-    continues. Returns (rows, failures).
+    run seeds. Runs train with `train_config` under a derived seed.
+    Individual run failures are recorded and the sweep continues.
+    Returns (rows, failures).
     """
     from .synthetic import generate
-    from .training import TrainConfig, derive_seed, train
+    from .training import derive_seed, train
 
     jobs = [(spec, name, int(s)) for spec in specs for name in models for s in seeds]
 
     def run(job):
         spec, name, s = job
-        import dataclasses
-        spec_seeded = dataclasses.replace(spec, seed=derive_seed(spec.seed, s, 71))
-        result = generate(spec_seeded)
-        tc = TrainConfig(max_epochs=max_epochs, seed=derive_seed(spec.seed, s, 72))
+        result = generate(replace(spec, seed=derive_seed(spec.seed, s, 71)))
+        tc = replace(train_config, seed=derive_seed(spec.seed, s, 72))
         outcome = train(result.graph, models[name], tc)
         report = curvature_gap(outcome.z_tangent)
         return SweepRow(spec.n_dims, name, s, report.id_estimate,

@@ -1,7 +1,8 @@
 """Hierarchical hyperbolic GNN over multiplex graphs.
 
-Per layer l (with D_{l-1} current latent dimensions), in tangent
-coordinates at the base point; exp0 lifts the last layer's output:
+The latent dimension counts halve, D -> ceil(D/2) -> ... (a loaded
+model's are its parameters' shapes). Per layer l (with D_{l-1} latent
+dimensions), in tangent coordinates; exp0 lifts the last layer's output:
 
   1. propagate node states through every dimension's normalized
      adjacency, then apply the linear map and the activation:
@@ -13,7 +14,8 @@ coordinates at the base point; exp0 lifts the last layer's output:
      (relu), and re-normalize them for the next layer.
 
 The combination logits are traced, so gradients flow through the latent
-adjacencies back into them. The alpha weights are softmax outputs
+adjacencies back into them; `softmax_deviation` checks that their
+softmaxed rows sum to 1. The alpha weights are softmax outputs
 (positive) and normalized adjacencies are nonnegative, so every level's
 support lies inside one fixed pattern per graph: the union of the input
 supports plus the diagonal. Each level is a (D, nnz) array of values on
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -64,7 +67,6 @@ class ModelConfig:
     n_layers: int = 2
     embed_size: int = 96
     manifold: str = mf.LORENTZ
-    dim_schedule: tuple | None = None  # resolved against the input D
     leaky_slope: float = 0.01  # sigma is leaky relu; phi is relu
     train_alpha: bool = True
 
@@ -86,24 +88,12 @@ class ModelConfig:
                    train_alpha=train_alpha, **kwargs)
 
 
-def resolve_dim_schedule(d_input, n_layers, given=None):
+def resolve_dim_schedule(d_input, n_layers):
     """Halving schedule D, max(ceil(D/2), 2), ..., with a final level >= 1.
 
     Strictly decreasing wherever the previous level allows it; levels
     stuck at 1 stay at 1 (degenerate single-dimension graphs).
     """
-    if given is not None:
-        schedule = tuple(int(x) for x in given)
-        if len(schedule) != n_layers + 1:
-            raise ModelConfigError(
-                f"dim_schedule needs {n_layers + 1} entries, got {len(schedule)}")
-        if schedule[0] != d_input:
-            raise ModelConfigError(
-                f"dim_schedule starts at {schedule[0]} but the graph has D={d_input}")
-        for prev, cur in zip(schedule, schedule[1:]):
-            if cur < 1 or cur > prev or (cur == prev and prev > 1):
-                raise ModelConfigError(f"dim_schedule must strictly decrease: {schedule}")
-        return schedule
     if n_layers < 1:
         raise ModelConfigError("need at least one layer")
     schedule = [int(d_input)]
@@ -133,13 +123,29 @@ class ModelParams:
             yield f"layer{l}.alpha", layer.alpha_logits
             yield f"layer{l}.beta", layer.beta_logits
 
+    @classmethod
+    def from_named(cls, tensors):
+        """Inverse of `named`, from a name -> Tensor map: one layer per
+        `layer{l}` prefix of the `layer{l}.W{d}` names, with one block per
+        such name. Other names, such as "Q", are ignored."""
+        blocks = Counter(name.split(".")[0] for name in tensors if ".W" in name)
+        return cls([LayerParams([tensors[f"layer{l}.W{d}"] for d in range(blocks[f"layer{l}"])],
+                                tensors[f"layer{l}.alpha"], tensors[f"layer{l}.beta"])
+                    for l in range(1, len(blocks) + 1)])
+
     def trainable(self):
         return [(name, t) for name, t in self.named() if t.requires_grad]
 
 
+def softmax_deviation(params):
+    """Max |row sum - 1| of every layer's softmaxed alpha and beta logits."""
+    return max(float(np.abs(ad.softmax_array(t.value).sum(axis=-1) - 1.0).max())
+               for layer in params.layers for t in (layer.alpha_logits, layer.beta_logits))
+
+
 def init_params(d_input, f_input, config: ModelConfig, seed=0):
     """Glorot-uniform GCN weights, zero (uniform-attention) logits."""
-    schedule = resolve_dim_schedule(d_input, config.n_layers, config.dim_schedule)
+    schedule = resolve_dim_schedule(d_input, config.n_layers)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 11]))
     layers = []
     f_in = f_input
@@ -242,15 +248,14 @@ def prepare_adjacencies(graph):
 @dataclass
 class Hierarchy:
     """The adjacency levels `propagate` reads, 0..L-1 for L layers, plus
-    diagnostics captured while building.
+    every layer's aggregate for the diagnostics.
 
     The last layer's aggregate feeds no layer, so it is kept only as raw
     values in `raw_flat`, never normalized into a level.
     """
 
-    levels: list  # StackedAdjacency per level, block counts = dim_schedule[:-1]
+    levels: list  # StackedAdjacency per level; block counts: the schedule bar its last
     raw_flat: list  # per layer, (D_l, nnz) pre-normalization values on the union
-    softmax_dev: float  # max |sum(alpha row) - 1| across layers
 
     def raw_matrices(self, layer):
         """Pre-normalization aggregated (N, N) matrices of one layer."""
@@ -271,7 +276,6 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
     union = level0.union
     levels = [level0]
     raw_all = []
-    dev = 0.0
     for l, layer in enumerate(params.layers, start=1):
         current = levels[-1]
         if len(layer.weights) != current.n_blocks:
@@ -279,31 +283,28 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
                 f"layer has {len(layer.weights)} weight matrices for "
                 f"{current.n_blocks} latent dimensions")
         alpha = ad.softmax(layer.alpha_logits, axis=-1)
-        dev = max(dev, float(np.abs(val(alpha).sum(axis=-1) - 1.0).max()))
         raw = ad.relu(ad.matmul(alpha, current.values))
         raw_all.append(val(raw))
         if l < len(params.layers):
             levels.append(StackedAdjacency(union, ad.normalize_blocks(raw, union)))
-    return Hierarchy(levels, raw_all, dev)
+    return Hierarchy(levels, raw_all)
 
 
 def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig):
     """Run the embedding layers over a prebuilt adjacency hierarchy.
 
     Every layer works in tangent coordinates at the base point. Returns
-    (H, softmax deviation), H the last layer's N x M states.
+    H, the last layer's N x M states.
     """
     n = hierarchy.levels[0].n
     h = x if isinstance(x, Tensor) else ad.constant(x)
-    dev = 0.0
     for l, layer in enumerate(params.layers):
         prop_all = hierarchy.levels[l].matmul(h)  # (D*N, F_in)
         per_dim = ad.leaky_relu(ad.block_matmul(prop_all, layer.weights, n),
                                 config.leaky_slope)
         beta = ad.softmax(layer.beta_logits, axis=-1)
-        dev = max(dev, float(abs(val(beta).sum() - 1.0)))
         h = ad.block_weighted_sum(per_dim, beta, n)
-    return h, dev
+    return h
 
 
 @dataclass
@@ -311,7 +312,7 @@ class ForwardResult:
     z: np.ndarray  # lifted output, N x M (N x (M+1) on the hyperboloid); not traced
     z_tangent: Tensor  # states in tangent coordinates, N x M; traced when params are leaves
     hierarchy: Hierarchy
-    softmax_dev: float
+    softmax_dev: float  # `softmax_deviation` of the parameters
     lorentz_violation: float  # of the output lift; 0 off the hyperboloid
 
 
@@ -322,10 +323,10 @@ def forward(graph, x, params: ModelParams, config: ModelConfig):
         raise ModelConfigError(f"parameters take F={f_params} input features, "
                                f"the graph has F={f_graph}")
     hierarchy = build_hierarchy(prepare_adjacencies(graph), params, config)
-    h, dev = propagate(hierarchy, x, params, config)
+    h = propagate(hierarchy, x, params, config)
     z = mf.lift(val(h), config.manifold)
     violation = mf.lorentz_violation(z) if config.manifold == mf.LORENTZ else 0.0
-    return ForwardResult(z, h, hierarchy, max(dev, hierarchy.softmax_dev), violation)
+    return ForwardResult(z, h, hierarchy, softmax_deviation(params), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def forward(graph, x, params: ModelParams, config: ModelConfig):
 
 CHECKPOINT_FORMAT = 1
 # model config fields older checkpoints may still carry; ignored on load
-RETIRED_CONFIG_KEYS = ("dense_threshold", "drop_tol")
+RETIRED_CONFIG_KEYS = ("dense_threshold", "dim_schedule", "drop_tol")
 
 
 def save_checkpoint(path, params: ModelParams, q, model_config: ModelConfig,
@@ -363,22 +364,8 @@ def load_checkpoint(path):
     """
     with np.load(path) as data:
         header = json.loads(bytes(data["__meta__"]).decode())
-        cfg_kwargs = {k: v for k, v in header["model"].items()
-                      if k not in RETIRED_CONFIG_KEYS}
-        if cfg_kwargs.get("dim_schedule") is not None:
-            cfg_kwargs["dim_schedule"] = tuple(cfg_kwargs["dim_schedule"])
-        config = ModelConfig(**cfg_kwargs)
-        layers = []
-        l = 1
-        while f"layer{l}.alpha" in data:
-            weights = []
-            d = 0
-            while f"layer{l}.W{d}" in data:
-                weights.append(ad.constant(data[f"layer{l}.W{d}"], name=f"layer{l}.W{d}"))
-                d += 1
-            alpha = ad.constant(data[f"layer{l}.alpha"], name=f"layer{l}.alpha")
-            beta = ad.constant(data[f"layer{l}.beta"], name=f"layer{l}.beta")
-            layers.append(LayerParams(weights, alpha, beta))
-            l += 1
-        q = ad.constant(data["Q"], name="Q")
-    return ModelParams(layers), q, config, header.get("meta")
+        tensors = {name: ad.constant(data[name], name=name)
+                   for name in data.files if name != "__meta__"}
+    config = ModelConfig(**{k: v for k, v in header["model"].items()
+                            if k not in RETIRED_CONFIG_KEYS})
+    return ModelParams.from_named(tensors), tensors["Q"], config, header.get("meta")

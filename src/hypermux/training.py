@@ -4,9 +4,9 @@ Each epoch runs the encoder on the clean graph and on a feature-shuffled
 corruption of it (fresh permutation per epoch, derived from the run
 seed), scores both against the clean summary vector with a bilinear
 discriminator, and minimizes the negative log-likelihood of telling the
-two apart. The latent adjacency hierarchy depends only on the
-combination logits, so it is built once per epoch and shared by the
-clean and corrupted passes.
+two apart (`epoch_loss`). The latent adjacency hierarchy depends only
+on the combination logits, so it is built once per epoch and shared by
+the clean and corrupted passes.
 """
 
 from __future__ import annotations
@@ -86,6 +86,15 @@ def dgi_objective(z, z_corrupt, q):
     pos_term = ad.tsum(ad.log(ad.clip(pos, LOG_FLOOR, 1.0)))
     neg_term = ad.tsum(ad.log(ad.clip(ad.sub(1.0, neg), LOG_FLOOR, 1.0)))
     return ad.add(pos_term, neg_term)
+
+
+def epoch_loss(hierarchy, x, x_hat, params, q, config: mdl.ModelConfig):
+    """(loss, clean states): the negated `dgi_objective` of the `propagate`
+    passes over `x` and its corruption `x_hat` through one hierarchy. The
+    one loss `train` minimizes and the gradient checks test."""
+    z = mdl.propagate(hierarchy, x, params, config)
+    z_hat = mdl.propagate(hierarchy, x_hat, params, config)
+    return ad.neg(dgi_objective(z, z_hat, q)), z
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +187,15 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
 
     for epoch in range(1, train_config.max_epochs + 1):
         hierarchy = mdl.build_hierarchy(level0, params, model_config)
-        z, dev_c = mdl.propagate(hierarchy, x, params, model_config)
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
-        z_hat, dev_h = mdl.propagate(hierarchy, x_hat, params, model_config)
-        loss = ad.neg(dgi_objective(z, z_hat, q))
+        loss, z = epoch_loss(hierarchy, x, x_hat, params, q, model_config)
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
             aborted = f"non-finite loss at epoch {epoch}"
             epoch -= 1
             break
 
-        max_dev = max(max_dev, dev_c, dev_h, hierarchy.softmax_dev)
+        max_dev = max(max_dev, mdl.softmax_deviation(params))
         z_tangent = z.value.copy()
 
         row = HistoryRow(epoch, loss_value)

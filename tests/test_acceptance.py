@@ -129,18 +129,11 @@ def test_criterion_3_gradient_correctness():
     x_hat = corrupt_features(x, 7)
     inputs = {name: t.value.copy() for name, t in params.named()}
     inputs["Q"] = np.eye(4)
-    sched = mdl.resolve_dim_schedule(graph.n_dims, cfg.n_layers)
 
     def build(leaves):
-        layers = [mdl.LayerParams(
-            [leaves[f"layer{l}.W{d}"] for d in range(sched[l - 1])],
-            leaves[f"layer{l}.alpha"], leaves[f"layer{l}.beta"])
-            for l in range(1, cfg.n_layers + 1)]
-        p = mdl.ModelParams(layers)
+        p = mdl.ModelParams.from_named(leaves)
         hier = mdl.build_hierarchy(level0, p, cfg)
-        z, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
+        return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
     err = ad.grad_check(build, inputs, epsilon=1e-5, n_coords=120)
     _report(3, "end-to-end gradient correctness", err < 1e-4,
@@ -201,8 +194,7 @@ def test_criterion_6_softmax_contracts_and_closed_form(gap_study):
     from hypermux.graph import _edges_to_csr
     g = MultiplexGraph(6, [_edges_to_csr(6, [(0, 1), (1, 2), (3, 4), (4, 5)])],
                        rng.normal(size=(6, 3)))
-    cfg = mdl.ModelConfig(n_layers=1, embed_size=4, manifold=mf.EUCLIDEAN,
-                          dim_schedule=(1, 1))
+    cfg = mdl.ModelConfig(n_layers=1, embed_size=4, manifold=mf.EUCLIDEAN)
     params = mdl.init_params(1, 3, cfg, seed=0)
     z = ad.val(mdl.forward(g, g.features, params, cfg).z)
     a_hat = normalize_adjacency(g.dims[0]).toarray()
@@ -237,8 +229,7 @@ def test_criterion_7_latent_hierarchy_fixture():
     for a in dims:
         assert not _reachable(a.toarray(), 0, 2)
     g = MultiplexGraph(5, dims, np.eye(5))
-    cfg = mdl.ModelConfig(n_layers=1, embed_size=3, manifold=mf.LORENTZ,
-                          dim_schedule=(3, 2))
+    cfg = mdl.ModelConfig(n_layers=1, embed_size=3, manifold=mf.LORENTZ)
     params = mdl.init_params(3, 5, cfg, seed=0)
     params.layers[0].alpha_logits.value[:] = np.array([[10.0, 10.0, -10.0],
                                                        [-10.0, -10.0, 10.0]])

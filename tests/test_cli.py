@@ -210,7 +210,8 @@ def _with_retired_keys(checkpoint, target):
     with np.load(checkpoint) as data:
         arrays = {k: data[k] for k in data.files}
     header = json.loads(bytes(arrays["__meta__"]).decode())
-    header["model"].update({"dense_threshold": 0.25, "drop_tol": 1e-4})
+    header["model"].update({"dense_threshold": 0.25, "drop_tol": 1e-4,
+                            "dim_schedule": [3, 2, 1]})
     arrays["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(),
                                        dtype=np.uint8).copy()
     np.savez(target, **arrays)
@@ -310,6 +311,19 @@ def test_sweep_rows_and_medians(tmp_path, capsys):
     assert lines[0] == "d,model,seed,id,lid,gap,loss_final"
     assert len(lines) == 1 + 2 * 2
     assert "median gap" in capsys.readouterr().out
+
+
+def test_sweep_applies_train_keys(tmp_path, capsys):
+    csvs = []
+    for tag, payload in [("default", {}), ("tuned", {"train.lr": 0.05, "train.patience": 2})]:
+        out = tmp_path / f"{tag}.csv"
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps({"model.embed": 8, **payload}))
+        assert run(["sweep", "--d", "3", "--n", "60", "--k", "2", "--epochs", "6",
+                    "--seeds", "1", "--models", "full", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] != csvs[1]
 
 
 def test_sweep_range_syntax():
@@ -443,6 +457,9 @@ BAD_INPUTS = {
                      "leaky_slope"),
     "sweep-slope": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1",
                     {"model.leaky_slope": 1.5}, "leaky_slope"),
+    "eval-logreg-l2-negative": ("eval --graph {g}", {"eval.logreg_l2": -1.0,
+                                                     "train.epochs": 1, "model.embed": 4},
+                                "eval.logreg_l2"),
     "eval-t-zero": ("eval --graph {g}", {"eval.t": 0, "train.epochs": 1, "model.embed": 4},
                     "eval.t"),
     "ablate-t-negative": ("ablate --graph {g} --seeds 1 --epochs 1", {"eval.t": -0.5},
@@ -513,6 +530,24 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         assert str(graph_dir / "meta.json") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["diagnose", "train-telemetry"])
+def test_too_few_points_for_the_estimators_exits_one(tmp_path, capsys, command):
+    graph_dir, run_dir = tmp_path / "g", tmp_path / "run"
+    assert run(gen_args(graph_dir, n=8)) == 0
+    train_argv = ["train", "--graph", str(graph_dir), "--embed", "4", "--epochs", "1",
+                  "--out", str(run_dir)]
+    if command == "diagnose":
+        assert run(train_argv) == 0
+        argv = ["diagnose", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                "--graph", str(graph_dir), "--out", str(tmp_path / "geo.json")]
+    else:
+        argv = train_argv + ["--telemetry"]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need >= 10 distinct points, have ") and err.count("\n") == 1
 
 
 def _csv_rows(path):

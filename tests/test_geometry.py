@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypermux import geometry as geo
+from hypermux.training import TrainConfig
 
 
 def embedded_uniform(n, intrinsic, ambient, seed):
@@ -173,7 +174,7 @@ def quick_models(*names):
 
 def test_sweep_row_counting(tmp_path):
     rows, failures = geo.sweep(quick_specs(), quick_models("euclidean-single"), [0],
-                               max_epochs=3)
+                               TrainConfig(max_epochs=3))
     assert not failures
     assert [(r.d, r.model, r.seed) for r in rows] == \
         [(2, "euclidean-single", 0), (3, "euclidean-single", 0)]
@@ -187,7 +188,7 @@ def test_sweep_row_counting(tmp_path):
 def test_sweep_cartesian_product():
     rows, failures = geo.sweep(quick_specs(),
                                quick_models("euclidean-single", "layers-ablation"),
-                               [0], max_epochs=2)
+                               [0], TrainConfig(max_epochs=2))
     assert not failures and len(rows) == 4
 
 
@@ -195,6 +196,6 @@ def test_sweep_records_failures_and_continues():
     from hypermux.synthetic import GenParams
     bad = GenParams(n_nodes=40, n_clusters=2, n_dims=3, p_in=0.01, p_out=0.6, seed=0)
     rows, failures = geo.sweep([bad] + quick_specs(), quick_models("euclidean-single"),
-                               [0], max_epochs=2)
+                               [0], TrainConfig(max_epochs=2))
     assert len(failures) == 1 and "GenConfigError" in failures[0]["error"]
     assert len(rows) == 2

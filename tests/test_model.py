@@ -61,15 +61,6 @@ def test_schedule_degenerate_single_dimension():
     assert mdl.resolve_dim_schedule(1, 2) == (1, 1, 1)
 
 
-def test_schedule_validation():
-    with pytest.raises(mdl.ModelConfigError):
-        mdl.resolve_dim_schedule(4, 2, given=(4, 2))  # wrong length
-    with pytest.raises(mdl.ModelConfigError):
-        mdl.resolve_dim_schedule(4, 2, given=(5, 2, 1))  # wrong start
-    with pytest.raises(mdl.ModelConfigError):
-        mdl.resolve_dim_schedule(4, 2, given=(4, 4, 1))  # not decreasing
-
-
 # --- parameters -------------------------------------------------------------
 
 
@@ -208,8 +199,7 @@ def test_forward_single_layer_single_dim_equals_closed_form():
     rng = np.random.default_rng(7)
     g = MultiplexGraph(6, [csr_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])],
                        rng.normal(size=(6, 3)))
-    cfg = mdl.ModelConfig(n_layers=1, embed_size=4, manifold=mf.EUCLIDEAN,
-                          dim_schedule=(1, 1))
+    cfg = mdl.ModelConfig(n_layers=1, embed_size=4, manifold=mf.EUCLIDEAN)
     params = mdl.init_params(1, 3, cfg, seed=0)
     result = mdl.forward(g, g.features, params, cfg)
     a_hat = normalize_adjacency(g.dims[0]).toarray()
@@ -220,8 +210,7 @@ def test_forward_single_layer_single_dim_equals_closed_form():
 
 def test_forward_schedule_bookkeeping():
     g = random_graph(seed=8, n=10, d=4)
-    cfg = mdl.ModelConfig(n_layers=2, embed_size=5, manifold=mf.EUCLIDEAN,
-                          dim_schedule=(4, 2, 1))
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=5, manifold=mf.EUCLIDEAN)
     params = mdl.init_params(4, 4, cfg, seed=1)
     result = mdl.forward(g, g.features, params, cfg)
     # the last layer's aggregate feeds no layer: raw values only, no level
@@ -440,8 +429,7 @@ def test_fixture_connection_absent_from_every_input_dimension():
 
 def test_hierarchy_fixture_latent_connection_appears():
     g = MultiplexGraph(5, FIXTURE_DIMS, np.eye(5))
-    cfg = mdl.ModelConfig(n_layers=1, embed_size=3, manifold=mf.LORENTZ,
-                          dim_schedule=(3, 2))
+    cfg = mdl.ModelConfig(n_layers=1, embed_size=3, manifold=mf.LORENTZ)
     params = mdl.init_params(3, 5, cfg, seed=0)
     # freeze the combination weights: latent dim 0 merges input dims 0 and 1,
     # latent dim 1 keeps input dim 2
@@ -469,8 +457,7 @@ def _reachable(t):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ,
-                          dim_schedule=(3, 2, 1))
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
     # both operator forms of a built level: dense union, then sparse (<= 7/40)
     for graph, mode in [(random_graph(seed=16, n=7, d=3, f=5), "dense"),
                         (sparse_ring_graph(40, 3, seed=2), "sparse")]:

@@ -212,9 +212,7 @@ def test_loss_invariant_under_node_permutation():
 
     def loss_for(graph, x, xh):
         hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), params, cfg)
-        z, _ = mdl.propagate(hier, x, params, cfg)
-        zh, _ = mdl.propagate(hier, xh, params, cfg)
-        return float(ad.val(tr.dgi_objective(z, zh, q)))
+        return float(tr.epoch_loss(hier, x, xh, params, q, cfg)[0].value)
 
     base = loss_for(g, g.features, x_hat)
     perm = np.random.default_rng(8).permutation(g.n_nodes)
@@ -224,6 +222,20 @@ def test_loss_invariant_under_node_permutation():
         g.features[perm])
     assert loss_for(permuted, permuted.features, x_hat[perm]) == \
         pytest.approx(base, abs=1e-8)
+
+
+def test_train_minimizes_epoch_loss():
+    # the function the gradient checks test is the one `train` minimizes
+    g = small_graph(seed=4, n=12)
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
+    out = tr.train(g, cfg, tr.TrainConfig(max_epochs=1, seed=5))
+    params = mdl.init_params(g.n_dims, g.n_features, cfg, seed=tr.derive_seed(5, 101))
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
+    x_hat = corrupt_features(g.features, tr.derive_seed(5, 202, 1))
+    loss, z = tr.epoch_loss(hier, g.features, x_hat, params,
+                            tr.init_discriminator(cfg.embed_size), cfg)
+    assert out.history[0].loss == float(loss.value)
+    assert np.array_equal(out.z_tangent, z.value)
 
 
 def test_corruption_differs_across_epochs_but_is_seeded():
@@ -252,17 +264,11 @@ def test_end_to_end_gradcheck_all_parameter_groups():
     x_hat = corrupt_features(x, 7)
     inputs = {name: t.value.copy() for name, t in params.named()}
     inputs["Q"] = np.eye(4)
-    sched = mdl.resolve_dim_schedule(graph.n_dims, cfg.n_layers)
 
     def build(leaves):
-        layers = [mdl.LayerParams([leaves[f"layer{l}.W{d}"] for d in range(sched[l - 1])],
-                                  leaves[f"layer{l}.alpha"], leaves[f"layer{l}.beta"])
-                  for l in range(1, cfg.n_layers + 1)]
-        p = mdl.ModelParams(layers)
+        p = mdl.ModelParams.from_named(leaves)
         hier = mdl.build_hierarchy(level0, p, cfg)
-        z, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
+        return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
     assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=80) < 1e-4
 
@@ -290,18 +296,12 @@ def test_end_to_end_gradcheck_sparse_levels():
     x_hat = corrupt_features(x, 7)
     inputs = {name: t.value.copy() for name, t in params.named()}
     inputs["Q"] = np.eye(4)
-    sched = mdl.resolve_dim_schedule(graph.n_dims, cfg.n_layers)
 
     def build(leaves):
-        layers = [mdl.LayerParams([leaves[f"layer{l}.W{d}"] for d in range(sched[l - 1])],
-                                  leaves[f"layer{l}.alpha"], leaves[f"layer{l}.beta"])
-                  for l in range(1, cfg.n_layers + 1)]
-        p = mdl.ModelParams(layers)
+        p = mdl.ModelParams.from_named(leaves)
         hier = mdl.build_hierarchy(level0, p, cfg)
         assert [lv.mode for lv in hier.levels] == ["const", "sparse"]
-        z, _ = mdl.propagate(hier, x, p, cfg)
-        zh, _ = mdl.propagate(hier, x_hat, p, cfg)
-        return ad.neg(tr.dgi_objective(z, zh, leaves["Q"]))
+        return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
     # every coordinate: the few alpha ones reach the loss only through
     # the sparse level's values, so sampling could miss them
@@ -317,9 +317,8 @@ def _dgi_loss(graph, cfg, seed=0):
     for layer in params.layers:  # off-uniform, so alpha's adjoint is generic
         layer.alpha_logits.value[:] = rng.normal(size=layer.alpha_logits.shape)
     hier = mdl.build_hierarchy(level0, params, cfg)
-    z, _ = mdl.propagate(hier, graph.features, params, cfg)
-    zh, _ = mdl.propagate(hier, corrupt_features(graph.features, 7), params, cfg)
-    loss = ad.neg(tr.dgi_objective(z, zh, tr.init_discriminator(cfg.embed_size)))
+    loss, _ = tr.epoch_loss(hier, graph.features, corrupt_features(graph.features, 7),
+                            params, tr.init_discriminator(cfg.embed_size), cfg)
     return loss, hier
 
 
