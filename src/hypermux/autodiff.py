@@ -30,15 +30,30 @@ a sparse product w.r.t. its dense operand multiplies by the CSC view
 each output row's terms in the same ascending order as a sorted CSR
 transpose would, so the result is the same to the bit.
 
+The four heaviest kernels (`spmm` and its adjoint, `normalize_blocks`,
+`block_matmul`) split their work into two parts at fixed block
+boundaries, and no sum is split between the parts. Each op is still
+entered, and its node recorded, on the calling thread; only the parts,
+raw numpy and scipy kernels writing into disjoint parts of arrays the
+calling thread made, run on a helper thread (`_run`).
+
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
-deterministic (no internal randomness).
+deterministic (no internal randomness), and the same on any number of
+cores: the parts do not depend on who runs them.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+import time
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse import _sparsetools  # the kernels behind `csr @ dense`, which take `out`
 
 
 class ShapeError(ValueError):
@@ -150,6 +165,88 @@ def _wrap2(a, b):
 
 
 # ---------------------------------------------------------------------------
+# kernel pool
+
+# helper threads beside the calling thread; every split kernel has two
+# parts, so a second helper would have nothing to run. The CPUs this
+# process may use (all of them where the OS cannot say).
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_WORKERS = min(_CPUS or 1, 2) - 1
+_tasks = None  # the pool's queue, made with its threads on first use
+
+
+class _Task:
+    __slots__ = ("kernel", "error", "done")
+
+    def __init__(self, kernel):
+        self.kernel, self.error, self.done = kernel, None, False
+
+
+def _serve(tasks):
+    while True:
+        task = tasks.get()
+        try:
+            task.kernel()
+        except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
+            task.error = exc
+        task.kernel = None  # drop the kernel's arrays before the caller goes on
+        task.done = True
+
+
+def _forget_pool():
+    global _tasks
+    _tasks = None  # a forked child has none of its parent's threads
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run(*kernels):
+    """Run independent kernels, each writing its own part of arrays the
+    calling thread made; return when all are done.
+
+    On the main thread, with a helper thread, every kernel but the first
+    goes to the pool while the caller runs the first. With one usable
+    CPU, and on any other thread (such as a `geometry.sweep` worker),
+    the caller runs them one after another. Only the main thread uses
+    the pool, so no kernel waits on another.
+
+    The caller then waits for the pool by yielding the interpreter lock
+    in a loop rather than by blocking. A caller that blocked here left
+    the process's single-threaded work after training (`generate`)
+    slower by about a quarter on a 2-vCPU VM, where a thread that keeps
+    its CPU busy keeps its speed; the loop costs the wait in CPU time.
+    """
+    global _tasks
+    if _WORKERS < 1 or threading.current_thread() is not threading.main_thread():
+        for kernel in kernels:
+            kernel()
+        return
+    if _tasks is None:
+        _tasks = queue.SimpleQueue()
+        for _ in range(_WORKERS):
+            threading.Thread(target=_serve, args=(_tasks,), name="hypermux-kernel",
+                             daemon=True).start()
+    handed = [_Task(kernel) for kernel in kernels[1:]]
+    for task in handed:
+        _tasks.put(task)
+    try:
+        kernels[0]()
+    finally:
+        for task in handed:
+            while not task.done:
+                time.sleep(0)
+    for task in handed:
+        if task.error is not None:
+            raise task.error
+
+
+def _halves(k):
+    """Blocks [0, k//2) and [k//2, k) of k as ranges, without an empty one."""
+    return [range(0, k // 2), range(k // 2, k)] if k > 1 else [range(k)]
+
+
+# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
@@ -213,8 +310,8 @@ class SymmetricPattern:
         self.n = n
         if self.rows.shape != self.cols.shape or self.rows.ndim != 1:
             raise ShapeError("SymmetricPattern: rows/cols must be equal-length 1-d")
-        self._flat = self.rows * n + self.cols  # row-major offsets in the dense matrix
-        if np.any(np.diff(self._flat) <= 0):
+        flat = self.rows * n + self.cols  # row-major offsets in the dense matrix
+        if np.any(np.diff(flat) <= 0):
             raise ShapeError("SymmetricPattern: entries must be in CSR order, no repeats")
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows, minlength=n), out=self.indptr[1:])
@@ -271,13 +368,14 @@ class StackedOperator:
     them: `mat` is a CSR matrix over the pattern's cached stacked
     `indices`/`indptr` whose data are the values themselves (no copy),
     or, with `dense`, the filled float64 array `value`. `nnz` and
-    `shape` describe the stack.
+    `shape` describe the stack. Its products write into arrays the
+    caller made: zeros for a CSR, which adds into them.
     """
 
     def __init__(self, pattern, values, dense=False):
         values = val(values)
         k, n = values.shape[0], pattern.n
-        self.pattern, self.k = pattern, k
+        self.pattern, self.k, self.dense = pattern, k, dense
         self.shape = (k * n, n)
         self.nnz = k * pattern.nnz
         if dense:
@@ -287,37 +385,75 @@ class StackedOperator:
             self.mat = sps.csr_matrix((values.reshape(-1), self.indices, self.indptr),
                                       shape=self.shape)
 
+    def blocks_times(self, blocks, x, out):
+        """Kernel: the rows of `blocks` of the stack @ the C-ordered x,
+        into the same rows of `out`. A CSR's rows are a view of its
+        indptr over the whole indices and data: nothing is copied."""
+        n = self.pattern.n
+        r0, r1 = blocks.start * n, blocks.stop * n
+        if self.dense:
+            np.matmul(self.mat[r0:r1], x, out=out[r0:r1])
+        else:
+            m = self.mat
+            _sparsetools.csr_matvecs(r1 - r0, n, x.shape[1], m.indptr[r0:r1 + 1], m.indices,
+                                     m.data, x.reshape(-1), out[r0:r1].reshape(-1))
 
-SAMPLE_BLOCK_BYTES = 4 << 20  # size of one temporary of the sampled product
+    def transpose_times(self, g, out):
+        """Kernel: stack.T @ the C-ordered g into `out`; a CSR multiplies
+        through its CSC view, so no transpose is sorted."""
+        if self.dense:
+            np.matmul(self.mat.T, g, out=out)
+        else:
+            m = self.mat
+            _sparsetools.csc_matvecs(self.shape[1], self.shape[0], g.shape[1], m.indptr,
+                                     m.indices, m.data, g.reshape(-1), out.reshape(-1))
 
 
-def _sampled(pattern, g, x, k):
-    """(g @ x.T) at the pattern's entries of each of the k stacked blocks.
+SAMPLE_BLOCK_BYTES = 4 << 20  # size of one kernel's buffer for the sampled product
 
-    Returns (k, nnz): entry e of block d is g[d*n + row_e] . x[col_e].
-    Formed a block at a time so no temporary exceeds SAMPLE_BLOCK_BYTES:
-    one BLAS product per block of rows, kept only at the block's entries
-    (a sampled dense-dense product), or, below 5% density, row pairs
+
+def _sampled(pattern, g, x, out, parts):
+    """Kernels that fill the (k, nnz) `out` with (g @ x.T) at the
+    pattern's entries of each of the k stacked blocks, one per range of
+    blocks in `parts`.
+
+    Entry e of block d is g[d*n + row_e] . x[col_e]. Each kernel works
+    in its own buffer of at most SAMPLE_BLOCK_BYTES, made here: one BLAS
+    product per block of rows, kept only at the block's entries (a
+    sampled dense-dense product), or, below 5% density, row pairs
     gathered per block of entries.
     """
     n, f = pattern.n, x.shape[1]
-    out = np.empty((k, pattern.nnz))
     if pattern.nnz * 20 > n * n:
         step = max(1, SAMPLE_BLOCK_BYTES // (8 * n))
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            e = slice(pattern.indptr[r0], pattern.indptr[r1])
-            at = pattern._flat[e] - r0 * n
-            for d in range(k):
-                out[d, e] = np.take((g[d * n + r0:d * n + r1] @ x.T).ravel(), at)
+        size = step * n
+        at = (pattern.rows % step) * n + pattern.cols  # offsets in each row block's product
+
+        def fill(blocks, buf):
+            for r0 in range(0, n, step):
+                r1 = min(r0 + step, n)
+                e = slice(pattern.indptr[r0], pattern.indptr[r1])
+                prod = buf[:(r1 - r0) * n]
+                for d in blocks:
+                    np.matmul(g[d * n + r0:d * n + r1], x.T, out=prod.reshape(r1 - r0, n))
+                    # "clip" writes straight into `out` ("raise" buffers it);
+                    # every index is in range
+                    np.take(prod, at[e], out=out[d, e], mode="clip")
     else:
         step = max(1, SAMPLE_BLOCK_BYTES // (16 * f))
-        for lo in range(0, pattern.nnz, step):
-            e = slice(lo, lo + step)
-            xs = x[pattern.cols[e]]
-            for d in range(k):
-                out[d, e] = np.einsum("ij,ij->i", g[d * n + pattern.rows[e]], xs)
-    return out
+        size = 2 * step * f
+
+        def fill(blocks, buf):
+            for lo in range(0, pattern.nnz, step):
+                rows, cols = pattern.rows[lo:lo + step], pattern.cols[lo:lo + step]
+                m = rows.size
+                xs = np.take(x, cols, axis=0, out=buf[:m * f].reshape(m, f), mode="clip")
+                gs = buf[m * f:2 * m * f].reshape(m, f)
+                for d in blocks:
+                    np.take(g[d * n:(d + 1) * n], rows, axis=0, out=gs, mode="clip")
+                    np.einsum("ij,ij->i", gs, xs, out=out[d, lo:lo + m])
+
+    return [partial(fill, blocks, np.empty(size)) for blocks in parts]
 
 
 def spmm(op, values, x):
@@ -325,21 +461,35 @@ def spmm(op, values, x):
 
     `op` is the `StackedOperator` made from the (k, nnz) `values`.
     Gradient flows to both the values and the dense operand; neither
-    adjoint forms a dense (k*n, n) array for a sparse operator.
+    adjoint forms a dense (k*n, n) array for a sparse operator. The
+    product runs as two halves of the blocks; the adjoint runs the
+    operand adjoint beside the values adjoint, or halves the values
+    adjoint when it is the only one needed.
     """
     if values.value.size != op.nnz:
         raise ShapeError(f"spmm: values shape {values.value.shape} holds no {op.nnz} entries")
     if op.shape[1] != x.value.shape[0]:
         raise ShapeError(f"spmm: {op.shape} @ {x.value.shape}")
     nv, nx = values.requires_grad, x.requires_grad
+    xv = np.ascontiguousarray(x.value)
 
     def vjp(g):
-        gv = _sampled(op.pattern, g, x.value, op.k).reshape(values.value.shape) \
-            if nv else None
-        gx = op.mat.T @ g if nx else None  # a CSR's CSC view: no transpose is sorted
-        return gv, gx
+        g = np.ascontiguousarray(g)
+        kernels = []
+        gx = gv = None
+        if nx:
+            gx = (np.empty if op.dense else np.zeros)(xv.shape)
+            kernels.append(partial(op.transpose_times, g, gx))
+        if nv:
+            gv = np.empty((op.k, op.pattern.nnz))
+            kernels += _sampled(op.pattern, g, xv, gv,
+                                [range(op.k)] if nx else _halves(op.k))
+        _run(*kernels)
+        return (gv.reshape(values.value.shape) if nv else None), gx
 
-    return _node(op.mat @ x.value, (values, x), vjp)
+    out = (np.empty if op.dense else np.zeros)((op.shape[0], xv.shape[1]))
+    _run(*(partial(op.blocks_times, blocks, xv, out) for blocks in _halves(op.k)))
+    return _node(out, (values, x), vjp)
 
 
 def gather_nd(x, rows, cols, unique=False):
@@ -461,7 +611,8 @@ def block_matmul(x, weights, block):
     """Per-block linear maps: rows [d*block, (d+1)*block) of x hit weights[d].
 
     One fused op instead of k slice-then-matmul pairs, so the adjoint
-    w.r.t. x fills a single buffer.
+    w.r.t. x fills a single buffer. Forward and adjoint each run as two
+    halves of the blocks.
     """
     xs = x.value
     k = xs.shape[0] // block
@@ -475,18 +626,27 @@ def block_matmul(x, weights, block):
             raise ShapeError(f"block_matmul: weight shape {w.shape} incompatible "
                              f"with input {xs.shape}")
     out = np.empty((xs.shape[0], f_out))
-    for d in range(k):
-        sl = slice(d * block, (d + 1) * block)
-        np.matmul(xs[sl], wvals[d], out=out[sl])
+
+    def forward(blocks):
+        for d in blocks:
+            sl = slice(d * block, (d + 1) * block)
+            np.matmul(xs[sl], wvals[d], out=out[sl])
+
+    _run(*(partial(forward, blocks) for blocks in _halves(k)))
 
     def vjp(g):
         gx = np.empty_like(xs) if x.requires_grad else None
-        gws = []
-        for d in range(k):
-            sl = slice(d * block, (d + 1) * block)
-            if gx is not None:
-                np.matmul(g[sl], wvals[d].T, out=gx[sl])
-            gws.append(xs[sl].T @ g[sl] if weights[d].requires_grad else None)
+        gws = [np.empty((f_in, f_out)) if w.requires_grad else None for w in weights]
+
+        def adjoint(blocks):
+            for d in blocks:
+                sl = slice(d * block, (d + 1) * block)
+                if gx is not None:
+                    np.matmul(g[sl], wvals[d].T, out=gx[sl])
+                if gws[d] is not None:
+                    np.matmul(xs[sl].T, g[sl], out=gws[d])
+
+        _run(*(partial(adjoint, blocks) for blocks in _halves(k)))
         return (gx, *gws)
 
     return _node(out, (x, *weights), vjp)
@@ -525,31 +685,53 @@ def normalize_blocks(values, pattern):
     sums reduce over the CSR rows; the column factors' adjoint reads
     them through the transpose permutation, so nothing is densified.
     Fused single op (forward and adjoint written by hand) because this
-    sits on the per-epoch hot path for every aggregated level.
+    sits on the per-epoch hot path for every aggregated level. Forward
+    and adjoint each run as two halves of the k matrices, one matrix at
+    a time: the factors are gathered into a buffer of one row, and the
+    result is built in the buffer of B = A + I.
     """
     arr = values.value
     if arr.ndim != 2 or arr.shape[1] != pattern.nnz:
         raise ShapeError(f"normalize_blocks: values shape {arr.shape} not "
                          f"(k, {pattern.nnz}) on the pattern")
     rows, cols = pattern.rows, pattern.cols
-    starts = pattern.indptr[:-1]  # every row holds its diagonal, so none is empty
+    starts = pattern.indptr[:-1].astype(np.intp)  # no row is empty: each holds its diagonal
+    k, nnz, n = arr.shape[0], pattern.nnz, pattern.n
 
-    b = arr.copy()
-    b[:, pattern.diag] += 1.0
-    deg = np.add.reduceat(b, starts, axis=1)
-    s = 1.0 / np.sqrt(deg)
-    y = b * s[:, rows]
-    y *= s[:, cols]
+    y = arr.copy()
+    y[:, pattern.diag] += 1.0
+    deg, s = np.empty((k, n)), np.empty((k, n))
+
+    def forward(blocks, buf):
+        for d in blocks:
+            np.add.reduceat(y[d], starts, out=deg[d])
+            np.divide(1.0, np.sqrt(deg[d], out=s[d]), out=s[d])
+            y[d] *= np.take(s[d], rows, out=buf, mode="clip")
+            y[d] *= np.take(s[d], cols, out=buf, mode="clip")
+
+    _run(*(partial(forward, blocks, np.empty(nnz)) for blocks in _halves(k)))
 
     def vjp(g):
-        # d/ds collects the row-factor and column-factor appearances
-        gy = g * y
-        gs = (np.add.reduceat(gy, starts, axis=1)
-              + np.add.reduceat(gy[:, pattern.mirror], starts, axis=1)) / s
-        gdeg = -0.5 * gs * s / deg
-        gb = g * s[:, rows]  # d/dB through the row factors, col factors next
-        gb *= s[:, cols]
-        gb += gdeg[:, rows]
+        gb = np.empty((k, nnz))
+
+        def adjoint(blocks, gy, buf, gs, mirrored):
+            for d in blocks:
+                # d/ds collects the row-factor and column-factor appearances
+                np.multiply(g[d], y[d], out=gy)
+                np.add.reduceat(gy, starts, out=gs)
+                gs += np.add.reduceat(np.take(gy, pattern.mirror, out=buf, mode="clip"),
+                                      starts, out=mirrored)
+                gs /= s[d]  # the order of -0.5 * gs * s / deg, so no bit changes
+                gs *= -0.5
+                gs *= s[d]
+                gs /= deg[d]  # now d/d deg
+                # d/dB through the row factors, col factors next
+                np.multiply(g[d], np.take(s[d], rows, out=buf, mode="clip"), out=gb[d])
+                gb[d] *= np.take(s[d], cols, out=buf, mode="clip")
+                gb[d] += np.take(gs, rows, out=buf, mode="clip")
+
+        _run(*(partial(adjoint, blocks, np.empty(nnz), np.empty(nnz), np.empty(n), np.empty(n))
+               for blocks in _halves(k)))
         return (gb,)
 
     return _node(y, (values,), vjp)

@@ -285,6 +285,10 @@ def _cmd_train(args):
     })
     model_config, train_config = _model_config(resolved), _train_config(resolved)
     graph = load_multiplex(args.graph)
+    if train_config.telemetry and graph.n_nodes < geo.TWONN_MIN_POINTS:
+        raise geo.EstimatorError(
+            f"need >= {geo.TWONN_MIN_POINTS} distinct points, have {graph.n_nodes} nodes; "
+            f"train.telemetry estimates the TwoNN dimension every epoch")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outcome = train(graph, model_config, train_config)

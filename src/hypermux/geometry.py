@@ -30,6 +30,9 @@ class EstimatorError(ValueError):
     pass
 
 
+TWONN_MIN_POINTS = 10  # distinct points `twonn_id` needs
+
+
 def _two_neighbor_ratios(points, chunk=512):
     """mu_i = r2/r1 per point, exact brute-force neighbors.
 
@@ -80,9 +83,9 @@ def twonn_id(points, trim=0.1):
     if x.ndim != 2:
         raise EstimatorError(f"expected a 2-d point array, got shape {x.shape}")
     deduped = np.unique(x, axis=0)
-    if deduped.shape[0] < 10:
+    if deduped.shape[0] < TWONN_MIN_POINTS:
         raise EstimatorError(
-            f"need >= 10 distinct points, have {deduped.shape[0]}")
+            f"need >= {TWONN_MIN_POINTS} distinct points, have {deduped.shape[0]}")
     return fit_pareto_slope(_two_neighbor_ratios(deduped), trim=trim)
 
 

@@ -533,7 +533,7 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
 
 
 @pytest.mark.parametrize("command", ["diagnose", "train-telemetry"])
-def test_too_few_points_for_the_estimators_exits_one(tmp_path, capsys, command):
+def test_too_few_points_for_the_estimators_exits_one(tmp_path, capsys, monkeypatch, command):
     graph_dir, run_dir = tmp_path / "g", tmp_path / "run"
     assert run(gen_args(graph_dir, n=8)) == 0
     train_argv = ["train", "--graph", str(graph_dir), "--embed", "4", "--epochs", "1",
@@ -544,10 +544,13 @@ def test_too_few_points_for_the_estimators_exits_one(tmp_path, capsys, command):
                 "--graph", str(graph_dir), "--out", str(tmp_path / "geo.json")]
     else:
         argv = train_argv + ["--telemetry"]
+        monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need >= 10 distinct points, have ") and err.count("\n") == 1
+    if command == "train-telemetry":  # rejected before `--out` is made
+        assert not run_dir.exists()
 
 
 def _csv_rows(path):

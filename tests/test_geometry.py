@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import hypermux.autodiff as ad
 from hypermux import geometry as geo
 from hypermux.training import TrainConfig
 
@@ -199,3 +202,20 @@ def test_sweep_records_failures_and_continues():
                                [0], TrainConfig(max_epochs=2))
     assert len(failures) == 1 and "GenConfigError" in failures[0]["error"]
     assert len(rows) == 2
+
+
+def test_sweep_workers_match_serial_while_the_kernel_pool_is_live(monkeypatch):
+    # the main thread's sweep hands kernel halves to the pool; the sweep's
+    # own worker threads run them themselves, with the same bits
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    specs, models = quick_specs(), quick_models("full", "euclidean-single")
+    serial, failures = geo.sweep(specs, models, [0, 1], TrainConfig(max_epochs=3))
+    assert not failures and len(serial) == 8 and ad._tasks is not None
+    result = {}
+    runner = threading.Thread(target=lambda: result.update(out=geo.sweep(
+        specs, models, [0, 1], TrainConfig(max_epochs=3), workers=2)))
+    runner.start()
+    runner.join(timeout=300)
+    assert not runner.is_alive()
+    rows, failures = result["out"]
+    assert not failures and rows == serial

@@ -1,3 +1,6 @@
+import functools
+import inspect
+import threading
 import tracemalloc
 
 import numpy as np
@@ -395,3 +398,88 @@ def test_telemetry_records_id_and_lid():
     assert all(r.id_estimate is not None and r.lid_estimate is not None
                for r in out.history)
     assert all(1 <= r.lid_estimate <= 4 for r in out.history)
+
+
+# --- kernel pool -------------------------------------------------------------
+
+POOL_GRAPHS = {  # a dense union, and sparse unions above and below the 5% switch
+    "dense": GenParams(n_nodes=60, n_clusters=2, n_dims=4, p_in=0.6, p_out=0.2, seed=3),
+    "sparse": GenParams(n_nodes=200, n_clusters=4, n_dims=5, p_in=0.3, p_out=0.02, seed=4),
+    "sparse-per-entry": GenParams(n_nodes=400, n_clusters=8, n_dims=3, p_in=0.1,
+                                  p_out=0.002, seed=5),
+}
+
+
+def _trained_bits(graph, workers, monkeypatch):
+    """Losses and Z of a 3-epoch training with `workers` pool threads, and
+    every parameter's gradient of one more epoch's loss."""
+    monkeypatch.setattr(ad, "_WORKERS", workers)
+    cfg = mdl.ModelConfig.for_variant("full", embed_size=8)
+    result = tr.train(graph, cfg, tr.TrainConfig(max_epochs=3, patience=5, seed=2))
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), result.params, cfg)
+    x = graph.features
+    loss, _ = tr.epoch_loss(hier, x, corrupt_features(x, 9), result.params,
+                            result.discriminator, cfg)
+    ad.backward(loss)
+    named = result.params.trainable() + [("Q", result.discriminator)]
+    return {"losses": np.array([r.loss for r in result.history]), "z": result.z_tangent,
+            **{name: ad.grad_or_zero(t) for name, t in named}}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_GRAPHS))
+def test_threaded_training_equals_serial_to_the_bit(case, monkeypatch):
+    graph = generate(POOL_GRAPHS[case]).graph
+    union = mdl.prepare_adjacencies(graph).union
+    assert union.mode == case.split("-")[0]
+    assert (union.nnz * 20 > union.n ** 2) == (case != "sparse-per-entry")
+    # several row blocks (or entry blocks) per kernel of the sampled product
+    monkeypatch.setattr(ad, "SAMPLE_BLOCK_BYTES", 16 << 10)
+    serial = _trained_bits(graph, 0, monkeypatch)
+    threaded = _trained_bits(graph, 1, monkeypatch)
+    assert serial.keys() == threaded.keys() and len(serial) > 10
+    assert [k for k in serial if serial[k].tobytes() != threaded[k].tobytes()] == []
+
+
+def test_ops_are_entered_on_the_calling_thread(monkeypatch):
+    # a tracer keeps its open spans on one stack: every public autodiff and
+    # model function, and every adjoint, runs on the thread that trains,
+    # while the kernels' second halves run on the pool
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    callers, kernel_threads = set(), set()
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            callers.add(threading.get_ident())
+            out = fn(*args, **kwargs)
+            if isinstance(out, ad.Tensor) and out._vjp is not None:
+                inner = out._vjp
+
+                def vjp(g):
+                    callers.add(threading.get_ident())
+                    return inner(g)
+
+                out._vjp = vjp
+            return out
+
+        return wrapper
+
+    wrapped = {fn: recorded(fn) for mod in (ad, mdl) for name, fn in vars(mod).items()
+               if inspect.isfunction(fn) and not name.startswith("_")
+               and fn.__module__ == mod.__name__}
+    for mod in (ad, mdl, tr):
+        for name, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in wrapped:
+                monkeypatch.setattr(mod, name, wrapped[obj])
+    blocks_times = ad.StackedOperator.blocks_times
+
+    def kernel(self, *args):
+        kernel_threads.add(threading.get_ident())
+        return blocks_times(self, *args)
+
+    monkeypatch.setattr(ad.StackedOperator, "blocks_times", kernel)
+    graph = generate(POOL_GRAPHS["sparse"]).graph
+    tr.train(graph, mdl.ModelConfig.for_variant("full", embed_size=8),
+             tr.TrainConfig(max_epochs=2, patience=5))
+    assert len(wrapped) > 20 and callers == {threading.get_ident()}
+    assert len(kernel_threads) == 2
