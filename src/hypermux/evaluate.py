@@ -169,15 +169,27 @@ def f1_scores(predicted, actual):
 # edge scoring
 
 
+SCORE_BLOCK_BYTES = 2 << 20  # size of one (pairs, M) temporary of the decoder
+
+
 def edge_scores(z, pairs, kind=mf.LORENTZ, r=2.0, t=1.0):
     """Score node pairs: Fermi-Dirac on hyperbolic states, sigmoid dot
-    product on euclidean ones."""
+    product on euclidean ones.
+
+    Scored a block of pairs at a time, so no temporary of the decoder
+    exceeds SCORE_BLOCK_BYTES; a score reads only its own pair's rows,
+    so the blocks change no bit of it.
+    """
     z = np.asarray(z, dtype=np.float64)
     idx_i = np.fromiter((p[-2] for p in pairs), dtype=np.int64, count=len(pairs))
     idx_j = np.fromiter((p[-1] for p in pairs), dtype=np.int64, count=len(pairs))
-    if kind == mf.EUCLIDEAN:
-        return logistic((z[idx_i] * z[idx_j]).sum(axis=1))
-    return mf.fermi_dirac_score(z[idx_i], z[idx_j], r=r, t=t, kind=kind)
+    scores = np.empty(len(pairs))
+    step = max(1, SCORE_BLOCK_BYTES // (8 * z.shape[-1]))
+    for lo in range(0, len(pairs), step):
+        z_i, z_j = z[idx_i[lo:lo + step]], z[idx_j[lo:lo + step]]
+        scores[lo:lo + step] = (logistic((z_i * z_j).sum(axis=1)) if kind == mf.EUCLIDEAN
+                                else mf.fermi_dirac_score(z_i, z_j, r=r, t=t, kind=kind))
+    return scores
 
 
 def link_prediction_eval(z, split: EdgeSplit, kind=mf.LORENTZ, r=2.0, t=1.0):

@@ -436,6 +436,19 @@ def test_scores_in_unit_interval_all_kinds():
         assert np.all((scores > 0) & (scores < 1))
 
 
+def test_edge_scores_in_blocks_equal_one_block_to_the_bit(monkeypatch):
+    rng = np.random.default_rng(15)
+    tangent = rng.normal(size=(40, 5))
+    pairs = [(0, *rng.integers(0, 40, 2)) for _ in range(301)]
+    for kind in (mf.EUCLIDEAN, mf.POINCARE, mf.LORENTZ):
+        z = mf.lift(tangent, kind)
+        whole = ev.edge_scores(z, pairs, kind=kind)
+        with monkeypatch.context() as m:
+            m.setattr(ev, "SCORE_BLOCK_BYTES", 8 * z.shape[1] * 7)  # 7 pairs a block
+            blocks = ev.edge_scores(z, pairs, kind=kind)
+        assert whole.shape == (301,) and whole.tobytes() == blocks.tobytes()
+
+
 def test_lorentz_scores_lifted_points_far_from_the_origin():
     # at tangent norm 15 the lift misses the hyperboloid check's 1e-6
     # tolerance by rounding alone: the decoder scores such points, the
