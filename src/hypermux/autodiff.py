@@ -67,7 +67,8 @@ class Tensor:
     for trainables, ``constant(value)`` otherwise); interior nodes are
     created by the ops below. After ``backward``, every leaf on a path
     to the output holds its adjoint in ``.grad``; interior nodes hold
-    None there.
+    None there. ``@`` is the one operator (``matmul``); every other op
+    is an explicit call, so ``a + b`` on two Tensors raises TypeError.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_vjp")
@@ -84,38 +85,9 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     def __repr__(self):
         tag = self.name or ("leaf" if self.requires_grad else "node")
         return f"Tensor({tag}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -40,7 +40,8 @@ class _UsageError(Exception):
 
 # errors of bad input; `dispatch` turns them into exit code 1
 EXIT_ONE_ERRORS = (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
-                   geo.EstimatorError, mdl.ModelConfigError, TrainConfigError)
+                   geo.EstimatorError, mdl.CheckpointError, mdl.ModelConfigError,
+                   TrainConfigError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,23 +166,22 @@ def _write_resolved(resolved, out_path, stem="resolved_config"):
     return target
 
 
+def _gen_range(resolved, name):
+    """(gen.<name>_min, gen.<name>_max), or None when neither is set."""
+    low, high = resolved[f"gen.{name}_min"], resolved[f"gen.{name}_max"]
+    if (low is None) != (high is None):
+        raise ConfigError(f"set both gen.{name}_min and gen.{name}_max or neither")
+    return None if low is None else (low, high)
+
+
 def _gen_params(resolved, seed=None):
-    sf = None
-    if resolved["gen.sf_min"] is not None or resolved["gen.sf_max"] is not None:
-        if resolved["gen.sf_min"] is None or resolved["gen.sf_max"] is None:
-            raise ConfigError("set both gen.sf_min and gen.sf_max or neither")
-        sf = (resolved["gen.sf_min"], resolved["gen.sf_max"])
-    cluster = None
-    if resolved["gen.cluster_min"] is not None or resolved["gen.cluster_max"] is not None:
-        if resolved["gen.cluster_min"] is None or resolved["gen.cluster_max"] is None:
-            raise ConfigError("set both gen.cluster_min and gen.cluster_max or neither")
-        cluster = (resolved["gen.cluster_min"], resolved["gen.cluster_max"])
     return GenParams(
         n_nodes=int(resolved["gen.n_nodes"]),
         n_clusters=int(resolved["gen.n_clusters"]),
         n_dims=int(resolved["gen.n_dims"]),
         p_in=resolved["gen.p_in"], p_out=resolved["gen.p_out"],
-        sf_range=sf, cluster_size_range=cluster,
+        sf_range=_gen_range(resolved, "sf"),
+        cluster_size_range=_gen_range(resolved, "cluster"),
         seed=int(resolved["seed"] if seed is None else seed))
 
 

@@ -135,12 +135,14 @@ def auc_ap(scores, labels):
     return float(auc), ap
 
 
+def _label_sets(labels):
+    """Each node's classes as a set, from one class id or a collection of them."""
+    return [set(l) if isinstance(l, (list, tuple, set)) else {int(l)} for l in labels]
+
+
 def f1_scores(predicted, actual):
     """(macro, micro) F1 over single- or multi-label assignments."""
-    pred_sets = [set(p) if isinstance(p, (list, tuple, set)) else {int(p)}
-                 for p in predicted]
-    true_sets = [set(a) if isinstance(a, (list, tuple, set)) else {int(a)}
-                 for a in actual]
+    pred_sets, true_sets = _label_sets(predicted), _label_sets(actual)
     if len(pred_sets) != len(true_sets):
         raise EvalError("predicted and actual lengths differ")
     classes = sorted(set().union(*true_sets, *pred_sets)) if true_sets else []
@@ -278,8 +280,7 @@ def fit_logreg(embeddings, labels, l2=1e-4, max_iter=5000, tol=1e-5) -> Classifi
     """Multinomial logistic regression (one-vs-rest when multi-label),
     fit by `_fit_linear`'s L-BFGS to a gradient 2-norm below `tol`."""
     x = np.asarray(embeddings, dtype=np.float64)
-    label_sets = [set(l) if isinstance(l, (list, tuple, set)) else {int(l)}
-                  for l in labels]
+    label_sets = _label_sets(labels)
     classes = sorted(set().union(*label_sets))
     if len(classes) < 2:
         raise EvalError("need at least two classes to fit a classifier")
@@ -341,8 +342,7 @@ def classification_eval(embeddings, labels, seed=0, n_repeats=5, test_ratio=0.2,
     if n_repeats < 1:
         raise EvalError(f"n_repeats must be >= 1, got {n_repeats}")
     x = np.asarray(embeddings, dtype=np.float64)
-    label_sets = [set(l) if isinstance(l, (list, tuple, set)) else {int(l)}
-                  for l in labels]
+    label_sets = _label_sets(labels)
     primary = np.array([sorted(s)[0] for s in label_sets])
     macros, micros = [], []
     for rep in range(n_repeats):

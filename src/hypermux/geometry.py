@@ -79,6 +79,11 @@ def twonn_id(points, trim=0.1):
     Exact duplicate points are collapsed first (a zero first-neighbor
     distance would break the ratio).
     """
+    return _twonn(points, trim)[0]
+
+
+def _twonn(points, trim):
+    """`twonn_id`'s estimate and the number of distinct points it used."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise EstimatorError(f"expected a 2-d point array, got shape {x.shape}")
@@ -86,7 +91,7 @@ def twonn_id(points, trim=0.1):
     if deduped.shape[0] < TWONN_MIN_POINTS:
         raise EstimatorError(
             f"need >= {TWONN_MIN_POINTS} distinct points, have {deduped.shape[0]}")
-    return fit_pareto_slope(_two_neighbor_ratios(deduped), trim=trim)
+    return fit_pareto_slope(_two_neighbor_ratios(deduped), trim=trim), deduped.shape[0]
 
 
 def linear_id(points, threshold=0.9):
@@ -110,7 +115,7 @@ def linear_id(points, threshold=0.9):
 class GeoReport:
     id_estimate: float
     lid_estimate: int
-    gap: float  # lid - id; slightly negative values are estimator noise
+    gap: float  # lid - id; can be far below 0 (-8 to -13 for the full model in criterion 1)
     n_duplicates: int = 0
     trim: float = 0.1
     context: dict = field(default_factory=dict)
@@ -119,11 +124,10 @@ class GeoReport:
 def curvature_gap(points, trim=0.1, threshold=0.9, context=None):
     """linear_id - twonn_id on the same cloud (tangent coordinates)."""
     x = np.asarray(points, dtype=np.float64)
-    n_dup = x.shape[0] - np.unique(x, axis=0).shape[0]
-    ide = twonn_id(x, trim=trim)
+    ide, n_distinct = _twonn(x, trim)
     lid = linear_id(x, threshold=threshold)
-    return GeoReport(ide, lid, float(lid - ide), n_duplicates=n_dup, trim=trim,
-                     context=dict(context or {}))
+    return GeoReport(ide, lid, float(lid - ide), n_duplicates=x.shape[0] - n_distinct,
+                     trim=trim, context=dict(context or {}))
 
 
 # ---------------------------------------------------------------------------

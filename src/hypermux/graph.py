@@ -160,8 +160,8 @@ def _read_edges(edge_file, n):
     token come from array ops over its code points, the ids from one
     int64 conversion of its `str.split` tokens, and duplicates leave
     through `unique_keys` on `i * n + j` keys. A line holds two ids or
-    only whitespace; the error names the first line that breaks a rule,
-    as a line-by-line reader would.
+    only whitespace; when a line breaks that rule, `_raise_first_bad_line`
+    reads the file again line by line to name the first one.
     """
     text = _read_text(edge_file)
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
@@ -173,19 +173,14 @@ def _read_edges(edge_file, n):
     # 0-based line of each token: the newlines before its first character
     line_of = np.searchsorted(np.flatnonzero(codes == ord("\n")), np.flatnonzero(starts))
     per_line = np.bincount(line_of)
-    bad_lines = np.flatnonzero((per_line != 0) & (per_line != 2))
-    tokens = text.split()
-    if bad_lines.size:  # ids before the first bad line are checked first
-        tokens = tokens[:np.searchsorted(line_of, bad_lines[0])]
-    try:
-        ids = np.array(tokens, dtype=np.int64)
-        in_range = ids.size == 0 or (ids.min() >= 0 and ids.max() < n)
-    except (ValueError, OverflowError):  # a non-integer or a huge token
-        in_range = False
-    if not in_range:
-        _raise_bad_id(edge_file, text, tokens, line_of, n)
-    if bad_lines.size:
-        _raise_at(edge_file, text, bad_lines[0], "expected two node ids, got")
+    ids = None
+    if np.all((per_line == 0) | (per_line == 2)):
+        try:
+            ids = np.array(text.split(), dtype=np.int64)
+        except (ValueError, OverflowError):  # a non-integer or a huge token
+            pass
+    if ids is None or (ids.size and (ids.min() < 0 or ids.max() >= n)):
+        _raise_first_bad_line(edge_file, text, n)
     i, j = ids[0::2], ids[1::2]
     return unique_keys(np.minimum(i, j) * n + np.maximum(i, j))
 
@@ -198,29 +193,23 @@ def _read_text(path):
         raise GraphFormatError(f"{path}: not valid text: {exc}") from exc
 
 
-def _raise_bad_id(edge_file, text, tokens, line_of, n):
-    """Name the first line with a token that is not a node id in [0, n);
-    a non-integer token on it is named before an id out of range."""
-    line = line_of[next(t for t, tok in enumerate(tokens) if not _is_id(tok, n))]
-    try:
-        for tok in text.split("\n")[line].split():
-            int(tok)
-    except ValueError as exc:
-        _raise_at(edge_file, text, line, "non-integer node id in", exc)
-    _raise_at(edge_file, text, line, f"node id out of range [0, {n}) in")
-
-
-def _is_id(token, n):
-    try:
-        return 0 <= int(token) < n
-    except ValueError:
-        return False
-
-
-def _raise_at(edge_file, text, line, problem, cause=None):
-    """GraphFormatError naming `file:line`, the problem and the stripped line."""
-    stripped = text.split("\n")[line].strip()
-    raise GraphFormatError(f"{edge_file}:{line + 1}: {problem} {stripped!r}") from cause
+def _raise_first_bad_line(edge_file, text, n):
+    """GraphFormatError naming `file:line`, the problem and the stripped
+    line, for the first line that does not hold two node ids in [0, n)
+    or only whitespace. A line of another token count is named as such,
+    else a non-integer token before an id out of range."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens, where = line.split(), f"{edge_file}:{lineno}:"
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise GraphFormatError(f"{where} expected two node ids, got {line.strip()!r}")
+        try:
+            ids = [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise GraphFormatError(f"{where} non-integer node id in {line.strip()!r}") from exc
+        if not all(0 <= i < n for i in ids):
+            raise GraphFormatError(f"{where} node id out of range [0, {n}) in {line.strip()!r}")
 
 
 def edge_keys(a):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, asdict
 
@@ -49,6 +50,10 @@ from .graph import normalize_adjacency, unique_keys
 
 class ModelConfigError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file `load_checkpoint` cannot read."""
 
 
 MODEL_VARIANTS = {
@@ -361,11 +366,23 @@ def load_checkpoint(path):
 
     Every parameter and Q load as `ad.constant`: a loaded checkpoint is
     only run forward, which then records no closures and keeps no tape.
+    A file that is not a checkpoint of CHECKPOINT_FORMAT raises
+    CheckpointError naming it.
     """
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__meta__"]).decode())
-        tensors = {name: ad.constant(data[name], name=name)
-                   for name in data.files if name != "__meta__"}
-    config = ModelConfig(**{k: v for k, v in header["model"].items()
-                            if k not in RETIRED_CONFIG_KEYS})
-    return ModelParams.from_named(tensors), tensors["Q"], config, header.get("meta")
+    try:
+        with np.load(path) as data:  # an .npy file loads as an array: TypeError
+            arrays = {name: data[name] for name in data.files}
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path} as an .npz archive: {exc}") from exc
+    try:
+        header = json.loads(bytes(arrays.pop("__meta__")).decode())
+        if header["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"format {header['format']!r} is not {CHECKPOINT_FORMAT}")
+        config = ModelConfig(**{k: v for k, v in header["model"].items()
+                                if k not in RETIRED_CONFIG_KEYS})
+        tensors = {name: ad.constant(a, name=name) for name, a in arrays.items()}
+        return ModelParams.from_named(tensors), tensors["Q"], config, header.get("meta")
+    except KeyError as exc:
+        raise CheckpointError(f"bad checkpoint {path}: no {exc} entry") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint {path}: {exc}") from exc

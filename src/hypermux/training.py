@@ -47,8 +47,10 @@ class TrainConfig:
     telemetry: bool = False  # per-epoch intrinsic dimension of Z
 
     def validate(self):
-        if self.learning_rate <= 0 or self.patience < 1 or self.max_epochs < 1:
-            raise TrainConfigError("need lr > 0, patience >= 1, max_epochs >= 1")
+        if (self.learning_rate <= 0 or self.patience < 1 or self.max_epochs < 1
+                or self.weight_decay < 0 or self.min_delta < 0):
+            raise TrainConfigError("need lr > 0, patience >= 1, max_epochs >= 1, "
+                                   "weight_decay >= 0, min_delta >= 0")
         return self
 
 

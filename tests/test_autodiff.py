@@ -104,6 +104,14 @@ def test_shape_rule_matmul():
         ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
 
 
+def test_tensor_arithmetic_only_through_ops():
+    a, b = ad.leaf(np.ones((2, 2))), ad.leaf(np.ones((2, 2)))
+    assert np.array_equal((a @ b).value, ad.matmul(a, b).value)
+    for apply in (lambda: a + b, lambda: a - 1.0, lambda: 2.0 * a, lambda: a / b, lambda: -a):
+        with pytest.raises(TypeError):
+            apply()
+
+
 def test_softmax_of_zeros_is_uniform():
     out = ad.softmax(ad.constant(np.zeros(3)), axis=-1)
     assert np.allclose(out.value, [1 / 3, 1 / 3, 1 / 3])

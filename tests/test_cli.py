@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermux import cli
+from hypermux import cli, model as mdl
 from hypermux.graph import load_multiplex, save_multiplex
 
 
@@ -483,6 +484,24 @@ BAD_INPUTS = {
     "meta-nodes-beyond-keys": ("train --graph {g} --epochs 1", {}, "n_nodes"),
     "meta-dims-bool": ("train --graph {g} --epochs 1", {}, "n_dims"),
     "meta-features-text": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "n_features"),
+    "weight-decay-negative": ("train --graph {g} --epochs 1", {"train.weight_decay": -5.0},
+                              "weight_decay"),
+    "min-delta-negative": ("train --graph {g} --epochs 1", {"train.min_delta": -1.0},
+                           "min_delta"),
+    "sf-min-alone": ("generate --k 2 --d 3 --n 40", {"gen.sf_min": 2}, "gen.sf_max"),
+    "cluster-max-alone": ("generate --k 2 --d 3 --n 40", {"gen.cluster_max": 30},
+                          "gen.cluster_min"),
+    "checkpoint-missing": ("diagnose --checkpoint {bad} --graph {g}", {}, "No such file"),
+    "checkpoint-not-npz": ("eval --checkpoint {bad} --graph {g}", {}, "cannot read"),
+    "checkpoint-npy": ("diagnose --checkpoint {bad} --graph {g}", {}, "cannot read"),
+    "checkpoint-no-meta": ("diagnose --checkpoint {bad} --graph {g}", {}, "__meta__"),
+    "checkpoint-no-alpha": ("eval --checkpoint {bad} --graph {g}", {}, "layer1.alpha"),
+    "checkpoint-no-q": ("diagnose --checkpoint {bad} --graph {g}", {}, "'Q'"),
+    "checkpoint-header-not-json": ("diagnose --checkpoint {bad} --graph {g}", {},
+                                   "bad checkpoint"),
+    "checkpoint-header-list": ("diagnose --checkpoint {bad} --graph {g}", {},
+                               "bad checkpoint"),
+    "checkpoint-format-2": ("eval --checkpoint {bad} --graph {g}", {}, "format 2"),
 }
 
 # meta.json counts that replace the generated graph's own
@@ -494,6 +513,47 @@ BAD_META = {
     "meta-dims-bool": {"n_dims": True},
     "meta-features-text": {"n_features": "3"},
 }
+
+
+def _header(header):
+    return np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# the file {bad} names: None for no file, bytes to write, or an edit of the
+# name -> array map of a valid checkpoint
+BAD_CHECKPOINTS = {
+    "checkpoint-missing": None,
+    "checkpoint-not-npz": b"not a numpy archive",
+    "checkpoint-npy": _npy(np.eye(4)),
+    "checkpoint-no-meta": lambda arrays: arrays.pop("__meta__"),
+    "checkpoint-no-alpha": lambda arrays: arrays.pop("layer1.alpha"),
+    "checkpoint-no-q": lambda arrays: arrays.pop("Q"),
+    "checkpoint-header-not-json": lambda arrays: arrays.update(
+        __meta__=np.frombuffer(b"{not json", dtype=np.uint8)),
+    "checkpoint-header-list": lambda arrays: arrays.update(__meta__=_header([1])),
+    "checkpoint-format-2": lambda arrays: arrays.update(__meta__=_header(
+        {**json.loads(bytes(arrays["__meta__"]).decode()), "format": 2})),
+}
+
+
+def _write_bad_checkpoint(path, graph_dir, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        graph = load_multiplex(graph_dir)
+        config = mdl.ModelConfig(embed_size=4)
+        params = mdl.init_params(graph.n_dims, graph.n_features, config)
+        mdl.save_checkpoint(path, params, np.eye(4), config)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        content(arrays)
+        np.savez(path, **arrays)
 
 
 def _no_training(*args, **kwargs):
@@ -513,13 +573,16 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         save_multiplex(graph, tmp_path / "g6")
         assert run(["train", "--graph", str(tmp_path / "g6"), "--embed", "4",
                     "--epochs", "1", "--out", str(wide)]) == 0
+    bad = tmp_path / "bad.npz"
+    if case in BAD_CHECKPOINTS:
+        _write_bad_checkpoint(bad, graph_dir, BAD_CHECKPOINTS[case])
     if case in BAD_META:
         meta_file = graph_dir / "meta.json"
         meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), **BAD_META[case]}))
     monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")
-    argv = argv.format(g=graph_dir, wide=wide / "checkpoint.npz").split()
+    argv = argv.format(g=graph_dir, wide=wide / "checkpoint.npz", bad=bad).split()
     argv += ["--config", str(_config(tmp_path, payload)), "--out", str(out)]
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -528,6 +591,8 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         assert "F=3" in err
     if case in BAD_META:
         assert str(graph_dir / "meta.json") in err
+    if case in BAD_CHECKPOINTS:
+        assert str(bad) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -489,3 +489,30 @@ def test_classification_eval_reports_mean_and_std():
     assert out["n_repeats"] == 5
     assert 0.9 <= out["f1_macro"] <= 1.0
     assert out["f1_macro_std"] >= 0.0
+
+
+def overlapping_blobs(seed=21, n=90):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(3), n // 3)
+    x = rng.normal(size=(3, 4))[labels] * 0.6 + rng.normal(size=(n, 4))
+    return x, labels.tolist()
+
+
+# label forms -> (f1_macro, f1_micro) of classification_eval on overlapping
+# blobs; an int and a one-element list name the same class
+LABEL_FORMS = {
+    "int": (lambda labels: labels, (0.8522514522514523, 0.8518518518518517)),
+    "one-element-list": (lambda labels: [[c] for c in labels],
+                         (0.8522514522514523, 0.8518518518518517)),
+    "multi-label": (lambda labels: [[c, (c + 1) % 3] if i % 3 == 0 else [c]
+                                    for i, c in enumerate(labels)],
+                    (0.6819493534405815, 0.689625850340136)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(LABEL_FORMS))
+def test_classification_eval_label_forms(form):
+    x, labels = overlapping_blobs()
+    make, want = LABEL_FORMS[form]
+    out = ev.classification_eval(x, make(labels), seed=0, n_repeats=3)
+    assert (out["f1_macro"], out["f1_micro"]) == want

@@ -306,6 +306,10 @@ def test_load_bad_edge_line_named_like_line_by_line_reader(tmp_path_factory, dat
     ("0 1\n0 9\n2 x\n", 2, "node id out of range [0, 3) in '0 9'"),
     ("0 1\r\n 1  2 0 \r\n1 x\r\n", 2, "expected two node ids, got '1  2 0'"),
     ("0 1\n1 x 2\n", 2, "expected two node ids, got '1 x 2'"),
+    ("0 1\n0 9\n1 2 0\n", 2, "node id out of range [0, 3) in '0 9'"),
+    ("0 1\nx 9\n", 2, "non-integer node id in 'x 9'"),
+    ("0 1\n9 x\n", 2, "non-integer node id in '9 x'"),
+    ("0 1\n\n x \n0 9\n", 3, "expected two node ids, got 'x'"),
 ])
 def test_load_names_first_bad_edge_line(tmp_path, text, line, problem):
     write_graph(tmp_path, 3, [text])
