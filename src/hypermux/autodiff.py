@@ -37,6 +37,12 @@ entered, and its node recorded, on the calling thread; only the parts,
 raw numpy and scipy kernels writing into disjoint parts of arrays the
 calling thread made, run on a helper thread (`_run`).
 
+Each activation runs inside the product that feeds it: `block_matmul`
+takes the leaky relu's slope and activates each block's product within
+its halves, and `matmul_relu` applies relu to its product in place. Both
+adjoints read the sign from the activated output, so the tape keeps one
+array where a product and a separate activation would keep two.
+
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
 deterministic (no internal randomness), and the same on any number of
@@ -265,6 +271,28 @@ def matmul(a, b):
     na, nb = a.requires_grad, b.requires_grad  # skip adjoints nobody needs
     return _node(av @ bv, (a, b),
                  lambda g: (g @ bv.T if na else None, av.T @ g if nb else None))
+
+
+def matmul_relu(a, b):
+    """relu(a @ b) of two 2-d operands, in the product's own buffer.
+
+    The adjoint reads the sign from the output (y > 0 exactly where
+    a @ b > 0, NaN included), so the tape keeps one array and no mask,
+    and then runs `matmul`'s products.
+    """
+    a, b = _wrap2(a, b)
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul_relu: {av.shape} @ {bv.shape}")
+    na, nb = a.requires_grad, b.requires_grad
+    y = av @ bv
+    np.maximum(y, 0.0, out=y)
+
+    def vjp(g):
+        g = np.where(y > 0, g, 0.0)
+        return (g @ bv.T if na else None, av.T @ g if nb else None)
+
+    return _node(y, (a, b), vjp)
 
 
 class SymmetricPattern:
@@ -520,21 +548,6 @@ def sigmoid(a):
     return _node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def relu(a):
-    y = np.maximum(a.value, 0.0)
-    return _node(y, (a,), lambda g: (np.where(a.value > 0, g, 0.0),))
-
-
-def leaky_relu(a, slope=0.01):
-    """max(x, slope * x), formed in one buffer: x where x > 0, slope * x
-    elsewhere, for 0 < slope <= 1; at slope 0 also, except that an input
-    of +inf gives nan (0 * inf)."""
-    x = a.value
-    y = x * slope
-    np.maximum(y, x, out=y)
-    return _node(y, (a,), lambda g: (np.where(x > 0, g, slope * g),))
-
-
 def clip(a, lo, hi):
     """Clamp values; the adjoint passes straight through the clamp."""
     return _node(np.clip(a.value, lo, hi), (a,), lambda g: (g,))
@@ -579,12 +592,18 @@ def transpose(a):
     return _node(a.value.T, (a,), lambda g: (g.T,))
 
 
-def block_matmul(x, weights, block):
-    """Per-block linear maps: rows [d*block, (d+1)*block) of x hit weights[d].
+def block_matmul(x, weights, block, slope):
+    """Per-block linear maps and the leaky relu: rows [d*block, (d+1)*block)
+    of x hit weights[d], and each product y becomes max(y, slope * y).
 
-    One fused op instead of k slice-then-matmul pairs, so the adjoint
-    w.r.t. x fills a single buffer. Forward and adjoint each run as two
-    halves of the blocks.
+    That is y where y > 0 and slope * y elsewhere, for 0 <= slope <= 1,
+    so slope 1 is the plain linear map, to the bit. The one exception is
+    slope 0 with a product of +inf, which gives nan (0 * inf). One fused
+    op instead of k slice-then-matmul pairs and an activation: the tape
+    keeps the activated output alone, and the adjoint reads the sign from
+    it (out > 0 exactly where y > 0, but for that exception), then fills
+    a single buffer w.r.t. x. Forward and adjoint each run as two halves
+    of the blocks, each with its own (block, f_out) buffer.
     """
     xs = x.value
     k = xs.shape[0] // block
@@ -599,26 +618,31 @@ def block_matmul(x, weights, block):
                              f"with input {xs.shape}")
     out = np.empty((xs.shape[0], f_out))
 
-    def forward(blocks):
+    def forward(blocks, buf):
         for d in blocks:
             sl = slice(d * block, (d + 1) * block)
-            np.matmul(xs[sl], wvals[d], out=out[sl])
+            np.matmul(xs[sl], wvals[d], out=buf)
+            np.multiply(buf, slope, out=out[sl])  # max(slope * y, y)
+            np.maximum(out[sl], buf, out=out[sl])
 
-    _run(*(partial(forward, blocks) for blocks in _halves(k)))
+    _run(*(partial(forward, blocks, np.empty((block, f_out))) for blocks in _halves(k)))
 
     def vjp(g):
         gx = np.empty_like(xs) if x.requires_grad else None
         gws = [np.empty((f_in, f_out)) if w.requires_grad else None for w in weights]
 
-        def adjoint(blocks):
+        def adjoint(blocks, buf):
             for d in blocks:
                 sl = slice(d * block, (d + 1) * block)
+                # where(out > 0, g, slope * g), block by block
+                np.multiply(g[sl], slope, out=buf)
+                np.copyto(buf, g[sl], where=out[sl] > 0)
                 if gx is not None:
-                    np.matmul(g[sl], wvals[d].T, out=gx[sl])
+                    np.matmul(buf, wvals[d].T, out=gx[sl])
                 if gws[d] is not None:
-                    np.matmul(xs[sl].T, g[sl], out=gws[d])
+                    np.matmul(xs[sl].T, buf, out=gws[d])
 
-        _run(*(partial(adjoint, blocks) for blocks in _halves(k)))
+        _run(*(partial(adjoint, blocks, np.empty((block, f_out))) for blocks in _halves(k)))
         return (gx, *gws)
 
     return _node(out, (x, *weights), vjp)

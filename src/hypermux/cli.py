@@ -234,7 +234,11 @@ def _write_csv(path, header, rows):
 def _embed_checkpoint(checkpoint, graph):
     """(model config, Z, Z in tangent coordinates) of a checkpoint on a graph."""
     params, _, model_config, _ = mdl.load_checkpoint(checkpoint)
-    out = mdl.forward(graph, graph.features, params, model_config)
+    try:
+        out = mdl.forward(graph, graph.features, params, model_config)
+    except mdl.ModelConfigError as exc:  # parameters that do not fit the graph's D or F
+        raise mdl.CheckpointError(f"checkpoint {checkpoint} does not fit the graph: "
+                                  f"{exc}") from exc
     return model_config, out.z, val(out.z_tangent)
 
 

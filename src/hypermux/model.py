@@ -13,22 +13,29 @@ dimensions), in tangent coordinates; exp0 lifts the last layer's output:
      latent matrices with row-softmax combination weights, apply phi
      (relu), and re-normalize them for the next layer.
 
+sigma runs inside the per-dimension products (`autodiff.block_matmul`)
+and phi inside the aggregation product (`autodiff.matmul_relu`), so a
+training epoch's tape holds each layer's states and each built level's
+aggregate once, not once before and once after the activation.
+
 The combination logits are traced, so gradients flow through the latent
 adjacencies back into them; `softmax_deviation` checks that their
-softmaxed rows sum to 1. The alpha weights are softmax outputs
-(positive) and normalized adjacencies are nonnegative, so every level's
-support lies inside one fixed pattern per graph: the union of the input
-supports plus the diagonal. Each level is a (D, nnz) array of values on
-that pattern; aggregation is a (D_l x D_{l-1}) product over values and
-re-normalization reduces over the pattern's rows, so memory grows with
-D*nnz rather than D*N^2. For propagation the D matrices act as one
-(D*N, N) vertical block stack, a single product over every dimension.
-A built level makes that operator once, as an `autodiff.StackedOperator`
-shared by the clean and the corrupted pass: a CSR over the union's
-column indices tiled D times, or one dense array when the union fills
-more than `DENSE_UNION_DENSITY` of the N x N entries (so it is under
-four times the level's values). Its adjoints (`autodiff.spmm`) form no
-(D*N, N) array, so training memory grows with D*nnz as well.
+softmaxed rows sum to 1. The last layer's aggregate feeds no layer, so
+no gradient reaches its logits: it is plain numpy, off the tape. The
+alpha weights are softmax outputs (positive) and normalized adjacencies
+are nonnegative, so every level's support lies inside one fixed pattern
+per graph: the union of the input supports plus the diagonal. Each level
+is a (D, nnz) array of values on that pattern; aggregation is a (D_l x
+D_{l-1}) product over values and re-normalization reduces over the
+pattern's rows, so memory grows with D*nnz rather than D*N^2. For
+propagation the D matrices act as one (D*N, N) vertical block stack, a
+single product over every dimension. A built level makes that operator
+once, as an `autodiff.StackedOperator` shared by the clean and the
+corrupted pass: a CSR over the union's column indices tiled D times, or
+one dense array when the union fills more than `DENSE_UNION_DENSITY` of
+the N x N entries (so it is under four times the level's values). Its
+adjoints (`autodiff.spmm`) form no (D*N, N) array, so training memory
+grows with D*nnz as well.
 """
 
 from __future__ import annotations
@@ -140,6 +147,35 @@ class ModelParams:
 
     def trainable(self):
         return [(name, t) for name, t in self.named() if t.requires_grad]
+
+    def check_layout(self, q, config):
+        """Raise ModelConfigError naming the first array whose shape does
+        not fit the others or `config`: with M = embed_size, D_{l-1} the
+        count of layer l's W and D_l the next layer's, layer l holds W{d}
+        (F_in, M), alpha (D_l, D_{l-1}) and beta (1, D_{l-1}), and Q is
+        (M, M). F_in is layer 1's W0 rows (`forward` checks them against
+        the graph), M after; the last alpha may have any rows."""
+        m, layers = config.embed_size, self.layers
+        if len(layers) != config.n_layers:
+            raise ModelConfigError(f"{len(layers)} layers of parameters for "
+                                   f"n_layers={config.n_layers}")
+        w0 = layers[0].weights[0].value
+        f_in = w0.shape[0] if w0.ndim == 2 else None
+        want = []
+        for l, layer in enumerate(layers, start=1):
+            k = len(layer.weights)
+            d_next = len(layers[l].weights) if l < len(layers) else None
+            want += [(f"layer{l}.W{d}", w, (f_in, m)) for d, w in enumerate(layer.weights)]
+            want += [(f"layer{l}.alpha", layer.alpha_logits, (d_next, k)),
+                     (f"layer{l}.beta", layer.beta_logits, (1, k))]
+            f_in = m
+        want.append(("Q", q, (m, m)))
+        for name, t, shape in want:  # None: any positive count
+            got = t.value.shape
+            if len(got) != len(shape) or 0 in got or any(
+                    w is not None and g != w for g, w in zip(got, shape)):
+                expected = ", ".join("*" if w is None else str(w) for w in shape)
+                raise ModelConfigError(f"{name} has shape {got}, expected ({expected})")
 
 
 def softmax_deviation(params):
@@ -285,13 +321,15 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
         current = levels[-1]
         if len(layer.weights) != current.n_blocks:
             raise ModelConfigError(
-                f"layer has {len(layer.weights)} weight matrices for "
-                f"{current.n_blocks} latent dimensions")
-        alpha = ad.softmax(layer.alpha_logits, axis=-1)
-        raw = ad.relu(ad.matmul(alpha, current.values))
-        raw_all.append(val(raw))
+                f"layer{l} has {len(layer.weights)} weight matrices for "
+                f"D={current.n_blocks} dimensions")
         if l < len(params.layers):
+            raw = ad.matmul_relu(ad.softmax(layer.alpha_logits, axis=-1), current.values)
+            raw_all.append(raw.value)
             levels.append(StackedAdjacency(union, ad.normalize_blocks(raw, union)))
+        else:  # read by no layer, so no gradient reaches its alpha: off the tape
+            raw = ad.softmax_array(layer.alpha_logits.value) @ val(current.values)
+            raw_all.append(np.maximum(raw, 0.0, out=raw))
     return Hierarchy(levels, raw_all)
 
 
@@ -305,8 +343,7 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
     h = x if isinstance(x, Tensor) else ad.constant(x)
     for l, layer in enumerate(params.layers):
         prop_all = hierarchy.levels[l].matmul(h)  # (D*N, F_in)
-        per_dim = ad.leaky_relu(ad.block_matmul(prop_all, layer.weights, n),
-                                config.leaky_slope)
+        per_dim = ad.block_matmul(prop_all, layer.weights, n, config.leaky_slope)
         beta = ad.softmax(layer.beta_logits, axis=-1)
         h = ad.block_weighted_sum(per_dim, beta, n)
     return h
@@ -366,7 +403,8 @@ def load_checkpoint(path):
 
     Every parameter and Q load as `ad.constant`: a loaded checkpoint is
     only run forward, which then records no closures and keeps no tape.
-    A file that is not a checkpoint of CHECKPOINT_FORMAT raises
+    A file that is not a checkpoint of CHECKPOINT_FORMAT, or whose arrays
+    do not fit each other (`ModelParams.check_layout`), raises
     CheckpointError naming it.
     """
     try:
@@ -381,7 +419,9 @@ def load_checkpoint(path):
         config = ModelConfig(**{k: v for k, v in header["model"].items()
                                 if k not in RETIRED_CONFIG_KEYS})
         tensors = {name: ad.constant(a, name=name) for name, a in arrays.items()}
-        return ModelParams.from_named(tensors), tensors["Q"], config, header.get("meta")
+        params = ModelParams.from_named(tensors)
+        params.check_layout(tensors["Q"], config)
+        return params, tensors["Q"], config, header.get("meta")
     except KeyError as exc:
         raise CheckpointError(f"bad checkpoint {path}: no {exc} entry") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -40,10 +40,12 @@ PRIMITIVE_PROBES = {
                {"a": _mat((3, 4)), "b": _mat((4, 2))}),
     "log": (lambda v: ad.tsum(ad.log(v["a"])), {"a": _mat((3, 4), 0.5, 2.0)}),
     "sigmoid": (lambda v: ad.tsum(ad.sigmoid(v["a"])), {"a": _mat((3, 4), -3, 3)}),
-    "relu": (lambda v: ad.tsum(ad.mul(ad.relu(v["a"]), v["a"])),
-             {"a": _mat((3, 4)) + 0.05}),
-    "leaky_relu": (lambda v: ad.tsum(ad.mul(ad.leaky_relu(v["a"], 0.2), v["a"])),
-                   {"a": _mat((3, 4)) + 0.05}),
+    # the activations run inside the products that feed them
+    "relu": (lambda v, _w=_mat((3, 5)): ad.tsum(ad.mul(ad.matmul_relu(v["a"], v["b"]), _w)),
+             {"a": _mat((3, 4)), "b": _mat((4, 5))}),
+    "leaky_relu": (lambda v, _w=_mat((6, 2)): ad.tsum(ad.mul(
+        ad.block_matmul(v["x"], [v["w0"], v["w1"]], 3, 0.2), _w)),
+        {"x": _mat((6, 4)), "w0": _mat((4, 2)), "w1": _mat((4, 2))}),
     "softmax": (lambda v: ad.tsum(ad.mul(ad.softmax(v["a"], axis=-1), v["b"])),
                 {"a": _mat((3, 4)), "b": _mat((3, 4))}),
     "sum_axis": (lambda v: ad.tsum(ad.mul(ad.tsum(v["a"], axis=0, keepdims=True),
@@ -59,7 +61,7 @@ PRIMITIVE_PROBES = {
         {"vals": _mat((3,))}),
     "spmm": (lambda v: ad.tsum(ad.spmm(ad.StackedOperator(SYM, v["vals"]), v["vals"], v["x"])),
              {"vals": _mat((2, SYM.nnz)), "x": _mat((4, 2))}),
-    "block_matmul": (lambda v: ad.tsum(ad.block_matmul(v["x"], [v["w0"], v["w1"]], 3)),
+    "block_matmul": (lambda v: ad.tsum(ad.block_matmul(v["x"], [v["w0"], v["w1"]], 3, 1.0)),
                      {"x": _mat((6, 4)), "w0": _mat((4, 2)), "w1": _mat((4, 2))}),
     "block_weighted_sum": (lambda v: ad.tsum(ad.block_weighted_sum(v["x"], v["c"], 3)),
                            {"x": _mat((6, 4)), "c": _mat((1, 2))}),
@@ -89,8 +91,7 @@ def test_softmax_weighted_sum_gradient_tight():
     weights = rng.normal(size=(2, 25))
 
     def fn(v):
-        mixed = ad.relu(ad.matmul(ad.softmax(v["logits"], axis=-1),
-                                  ad.constant(stacked)))
+        mixed = ad.matmul_relu(ad.softmax(v["logits"], axis=-1), ad.constant(stacked))
         return ad.tsum(ad.mul(mixed, weights))
 
     assert ad.grad_check(fn, {"logits": rng.normal(size=(2, 4))},
@@ -339,14 +340,85 @@ def test_backward_leaves_the_seed_untouched():
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
 def test_leaky_relu_matches_where_oracle(slope):
+    # the activation inside block_matmul, through a 1 x 1 identity weight
     x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5,
                   5e-324, -5e-324, 1e308, -1e308])
     if slope == 0.0:
         x = x[x != np.inf]  # 0 * inf is nan, where the oracle passes inf
+    x = x[:, None]
+    pre = x @ np.eye(1)  # the product itself turns -0.0 into 0.0
+    g = np.arange(1.0, x.size + 1)[:, None]
     with np.errstate(invalid="ignore"):
-        want = np.where(x > 0, x, slope * x)
-        got = ad.leaky_relu(ad.leaf(x), slope).value
-    assert got.tobytes() == want.tobytes()
+        want = np.where(pre > 0, pre, slope * pre)
+        xs, w = ad.leaf(x), ad.leaf(np.eye(1))
+        out = ad.block_matmul(xs, [w], x.size, slope)
+        ad.backward(out, g)
+        g_pre = np.where(pre > 0, g, slope * g)
+        gw = x.T @ g_pre  # nan: inf and -inf meet in the sum
+    assert out.value.tobytes() == want.tobytes()
+    assert xs.grad.tobytes() == (g_pre @ np.eye(1)).tobytes()
+    assert w.grad.tobytes() == gw.tobytes()
+
+
+def _unfused_block_matmul(x, weights, block, slope, g):
+    """block_matmul as its per-block products, then leaky relu, with the
+    adjoints of that composition: (out, gx, gws)."""
+    pre = np.empty((x.shape[0], weights[0].shape[1]))
+    for d, w in enumerate(weights):
+        pre[d * block:(d + 1) * block] = x[d * block:(d + 1) * block] @ w
+    out = pre * slope
+    np.maximum(out, pre, out=out)
+    g_pre = np.where(pre > 0, g, slope * g)
+    gx = np.empty_like(x)
+    gws = []
+    for d, w in enumerate(weights):
+        sl = slice(d * block, (d + 1) * block)
+        gx[sl] = g_pre[sl] @ w.T
+        gws.append(x[sl].T @ g_pre[sl])
+    return out, gx, gws
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("density, kind", [(0.4, "dense"), (0.02, "sparse")],
+                         ids=["dense-union", "sparse-union"])
+def test_fused_activations_equal_the_unfused_composition_to_the_bit(density, kind, workers,
+                                                                    monkeypatch):
+    monkeypatch.setattr(ad, "_WORKERS", workers)
+    rng = np.random.default_rng(27)
+    k, n, f, m = 3, 50, 6, 5
+    pattern = _symmetric_pattern(rng, n, density)
+    values = rng.normal(size=(k, pattern.nnz))
+    values[:, ::7] = 0.0  # products of exactly zero
+    # relu(a @ b): the aggregation of a level's values
+    logits = ad.leaf(rng.normal(size=(2, k)))
+    vals = ad.leaf(values)
+    alpha = ad.softmax(logits, axis=-1)
+    raw = ad.matmul_relu(alpha, vals)
+    pre = alpha.value @ values
+    assert raw.value.tobytes() == np.maximum(pre, 0.0).tobytes()
+    g = rng.normal(size=raw.shape)
+    ad.backward(raw, g)
+    g_pre = np.where(pre > 0, g, 0.0)
+    assert vals.grad.tobytes() == (alpha.value.T @ g_pre).tobytes()
+    alpha_grad = g_pre @ values.T
+    assert logits.grad.tobytes() == (alpha.value * (alpha_grad - (
+        alpha_grad * alpha.value).sum(axis=-1, keepdims=True))).tobytes()
+    # leaky relu of the per-block linear maps of a propagated state
+    op = ad.StackedOperator(pattern, values, dense=kind == "dense")
+    for slope in (0.0, 0.01, 1.0):
+        x = ad.leaf(ad.spmm(op, vals, ad.constant(rng.normal(size=(n, f)))).value)
+        weights = [ad.leaf(rng.normal(size=(f, m))) for _ in range(k)]
+        out = ad.block_matmul(x, weights, n, slope)
+        g = rng.normal(size=out.shape)
+        ad.backward(out, g)
+        want, gx, gws = _unfused_block_matmul(x.value, [w.value for w in weights], n, slope, g)
+        assert out.value.tobytes() == want.tobytes()
+        if slope == 1.0:  # the plain linear map
+            assert out.value.tobytes() == np.vstack([
+                x.value[d * n:(d + 1) * n] @ w.value for d, w in enumerate(weights)]).tobytes()
+        assert x.grad.tobytes() == gx.tobytes()
+        for w, gw in zip(weights, gws):
+            assert w.grad.tobytes() == gw.tobytes()
 
 
 def test_evaluation_is_deterministic():

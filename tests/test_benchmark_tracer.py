@@ -19,8 +19,10 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def _state(mods, owners):
+    # the functions and classes the tracer may replace; not data such as the
+    # kernel pool's queue, which the first pass makes
     attrs = {(name, attr): obj for name, mod in mods.items()
-             for attr, obj in vars(mod).items()}
+             for attr, obj in vars(mod).items() if callable(obj)}
     methods = {(cls, attr): cls.__dict__[attr] for cls, attr in owners}
     return attrs, methods
 
@@ -65,6 +67,12 @@ def _trace_forward_backward(monkeypatch, params, mode):
     assert tracer.levels[f"model.levels.{mode}"] == 1
     assert tracer.levels["model.level_bytes"] > 0
     assert tracer.counts["autodiff.spmm.flops"] > 0 and tracer.counts["autodiff.spmm.bytes"] > 0
+    # the per-layer view of block_matmul reads its arguments: one call per
+    # layer and pass (one pass here), and flops from the operand shapes
+    summary = tracer.summary()
+    assert summary["autodiff.block_matmul"]["calls"] == cfg.n_layers * 1
+    assert summary["autodiff.block_matmul.vjp"]["calls"] == cfg.n_layers * 1
+    assert tracer.counts["autodiff.block_matmul.flops"] > 0
     after = _state(mods, owners)
     assert after[0].keys() == before[0].keys()
     assert all(after[0][k] is obj for k, obj in before[0].items())

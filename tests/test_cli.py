@@ -502,6 +502,22 @@ BAD_INPUTS = {
     "checkpoint-header-list": ("diagnose --checkpoint {bad} --graph {g}", {},
                                "bad checkpoint"),
     "checkpoint-format-2": ("eval --checkpoint {bad} --graph {g}", {}, "format 2"),
+    "checkpoint-alpha-shape": ("diagnose --checkpoint {bad} --graph {g}", {},
+                               "layer1.alpha has shape (2, 2), expected (2, 3)"),
+    "checkpoint-w-columns": ("eval --checkpoint {bad} --graph {g}", {},
+                             "layer1.W0 has shape (3, 5), expected (3, 4)"),
+    "checkpoint-w-rows": ("diagnose --checkpoint {bad} --graph {g}", {},
+                          "layer2.W1 has shape (3, 4), expected (4, 4)"),
+    "checkpoint-beta-shape": ("diagnose --checkpoint {bad} --graph {g}", {},
+                              "layer2.beta has shape (2, 1), expected (1, 2)"),
+    "checkpoint-last-alpha-empty": ("diagnose --checkpoint {bad} --graph {g}", {},
+                                    "layer2.alpha has shape (0, 2), expected (*, 2)"),
+    "checkpoint-q-shape": ("eval --checkpoint {bad} --graph {g}", {},
+                           "Q has shape (4,), expected (4, 4)"),
+    "checkpoint-layers": ("diagnose --checkpoint {bad} --graph {g}", {},
+                          "1 layers of parameters for n_layers=2"),
+    "checkpoint-other-dims": ("eval --checkpoint {bad} --graph {g}", {},
+                              "layer1 has 2 weight matrices for D=3"),
 }
 
 # meta.json counts that replace the generated graph's own
@@ -525,6 +541,12 @@ def _npy(array):
     return buf.getvalue()
 
 
+def _drop_input_dim_2(arrays):
+    arrays.pop("layer1.W2")
+    for name in ("layer1.alpha", "layer1.beta"):
+        arrays[name] = arrays[name][:, :2]
+
+
 # the file {bad} names: None for no file, bytes to write, or an edit of the
 # name -> array map of a valid checkpoint
 BAD_CHECKPOINTS = {
@@ -539,6 +561,18 @@ BAD_CHECKPOINTS = {
     "checkpoint-header-list": lambda arrays: arrays.update(__meta__=_header([1])),
     "checkpoint-format-2": lambda arrays: arrays.update(__meta__=_header(
         {**json.loads(bytes(arrays["__meta__"]).decode()), "format": 2})),
+    # arrays that do not fit each other: D = 3, 2, 1 over the layers, F = 3, M = 4
+    "checkpoint-alpha-shape": lambda arrays: arrays.update({"layer1.alpha": np.zeros((2, 2))}),
+    "checkpoint-w-columns": lambda arrays: arrays.update({"layer1.W0": np.zeros((3, 5))}),
+    "checkpoint-w-rows": lambda arrays: arrays.update({"layer2.W1": np.zeros((3, 4))}),
+    "checkpoint-beta-shape": lambda arrays: arrays.update({"layer2.beta": np.zeros((2, 1))}),
+    "checkpoint-last-alpha-empty": lambda arrays: arrays.update(
+        {"layer2.alpha": np.zeros((0, 2))}),
+    "checkpoint-q-shape": lambda arrays: arrays.update(Q=np.zeros(4)),
+    "checkpoint-layers": lambda arrays: [arrays.pop(name) for name in list(arrays)
+                                         if name.startswith("layer2.")],
+    # fits itself, but takes D = 2 input dimensions where the graph has 3
+    "checkpoint-other-dims": _drop_input_dim_2,
 }
 
 

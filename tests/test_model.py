@@ -13,6 +13,8 @@ appears only through two-hop composition inside dimension 2. Neither pair
 is a direct edge anywhere in the input.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -378,6 +380,37 @@ def test_hierarchy_holds_only_levels_propagate_reads(n_layers, monkeypatch):
     mdl.propagate(hier, g.features, params, cfg)
     assert [id(lv) for lv in read] == [id(lv) for lv in hier.levels]
     assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
+
+
+# sha256 of raw_flat[-1] as recorded when the last aggregate was still a tape node
+LAST_AGGREGATE_DIGESTS = {
+    "dense": "ba71d27fe377683de3c59caf78cdbb9bb7c0f03735da02e40484c10636914d05",
+    "sparse": "8942fe0987a7b2ff983d7fe904fe1671bc11a660d37b41afc18abc69c5fc3af9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(LAST_AGGREGATE_DIGESTS))
+def test_last_aggregate_is_plain_numpy_with_the_same_bits(mode, monkeypatch):
+    g = random_graph(seed=14, n=40, d=4, f=3) if mode == "dense" else sparse_ring_graph(60, 6, 1)
+    cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.EUCLIDEAN)
+    params = mdl.init_params(g.n_dims, 3, cfg, seed=5)
+    rng = np.random.default_rng(14)
+    for layer in params.layers:
+        layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
+    last_alpha = params.layers[-1].alpha_logits
+    assert last_alpha.requires_grad
+    made = []
+    node = ad._node
+    monkeypatch.setattr(ad, "_node", lambda value, parents, vjp: made.append(
+        (value, parents)) or node(value, parents, vjp))
+    level0 = mdl.prepare_adjacencies(g)
+    assert level0.union.mode == mode
+    hier = mdl.build_hierarchy(level0, params, cfg)
+    raw = hier.raw_flat[-1]
+    assert hashlib.sha256(raw.tobytes()).hexdigest() == LAST_AGGREGATE_DIGESTS[mode]
+    # no layer reads it, so no node is made from its alpha or holds it
+    assert made and not any(last_alpha in parents for _, parents in made)
+    assert not any(np.shares_memory(value, raw) for value, _ in made)
 
 
 @settings(max_examples=25, deadline=None)

@@ -380,6 +380,32 @@ def test_backward_memory_stays_below_one_stacked_level():
     assert after < 1 << 20
 
 
+@pytest.mark.parametrize("p_in, p_out, mode", [(0.15, 0.02, "sparse"), (0.9, 0.3, "dense")])
+def test_epoch_tape_keeps_each_activation_once(p_in, p_out, mode):
+    # each activation runs inside the product that feeds it, so the tape
+    # holds no pre-activation copy of a layer's states or of an aggregate
+    n, m = 60, 5
+    graph = generate(GenParams(n_nodes=n, n_clusters=3, n_dims=6, p_in=p_in,
+                               p_out=p_out, seed=8)).graph
+    loss, hier = _dgi_loss(graph, mdl.ModelConfig(n_layers=3, embed_size=m))
+    schedule = mdl.resolve_dim_schedule(6, 3)
+    assert schedule == (6, 3, 2, 1) and [lv.mode for lv in hier.levels] == ["const", mode, mode]
+    nnz = hier.levels[0].union.nnz
+    tape = ad._toposort(loss)  # parents before children
+    reads = {}  # id -> the layers whose weights a node was computed from
+    for t in tape:
+        reads[id(t)] = set().union(*(reads.get(id(p), set()) for p in t._parents))
+        if ".W" in t.name:
+            reads[id(t)].add(t.name.split(".")[0])
+    for l in range(1, 4):
+        states = [t for t in tape if t.shape == (schedule[l - 1] * n, m)
+                  and f"layer{l}" in reads[id(t)]]
+        assert len(states) == 2  # one per pass, clean and corrupted
+    for l, level in enumerate(hier.levels[1:], start=1):
+        assert [t.shape for t in tape if t is not level.values].count((schedule[l], nnz)) == 1
+    assert all(t.shape != (schedule[-1], nnz) for t in tape)  # the last aggregate
+
+
 def test_history_csv_format(tmp_path):
     rows = [tr.HistoryRow(1, -0.5, 2.25, 3), tr.HistoryRow(2, -0.75)]
     path = tmp_path / "history.csv"
