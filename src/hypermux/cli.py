@@ -154,16 +154,21 @@ def config_hash(resolved):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_resolved(resolved, out_path, stem="resolved_config"):
+def _resolve(args):
+    """defaults < `--config` file < the parsed flags: each flag that sets a
+    config key is parsed under that key."""
+    return resolve_config(args.config, {k: v for k, v in vars(args).items() if k in DEFAULTS})
+
+
+def _write_resolved(resolved, out_path):
     out_path = Path(out_path)
     if out_path.suffix:  # file output: write alongside it
         target = out_path.with_name(out_path.name + ".config.json")
         target.parent.mkdir(parents=True, exist_ok=True)
     else:
         out_path.mkdir(parents=True, exist_ok=True)
-        target = out_path / f"{stem}.json"
+        target = out_path / "resolved_config.json"
     target.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
-    return target
 
 
 def _gen_range(resolved, name):
@@ -256,6 +261,15 @@ def _scores(z, z_tangent, manifold, split, labels, seed, resolved):
     return scores
 
 
+def _split(graph, resolved, seed):
+    """`graph`'s edges split at `eval.test_ratio`, rejected when `_scores`
+    could not score them; whether they can does not depend on the seed."""
+    ratio = float(resolved["eval.test_ratio"])
+    split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=seed)
+    ev.check_scoreable(split, graph.labels)
+    return split
+
+
 def _check_count(flag, n):
     if n < 1:
         raise ConfigError(f"{flag} must be >= 1, got {n}")
@@ -265,28 +279,17 @@ def _check_count(flag, n):
 # subcommands
 
 
-def _cmd_generate(args):
-    resolved = resolve_config(args.config, {
-        "gen.n_nodes": args.n, "gen.n_clusters": args.k, "gen.n_dims": args.d,
-        "gen.p_in": args.p_in, "gen.p_out": args.p_out, "seed": args.seed,
-    })
+def _cmd_generate(args, resolved):
     result = generate(_gen_params(resolved))
     out = Path(args.out)
     save_multiplex(result.graph, out)
     (out / "gen_params.json").write_text(
         json.dumps(result.resolved, sort_keys=True, indent=2) + "\n")
-    _write_resolved(resolved, out)
     print(f"wrote {result.graph.n_nodes} nodes x {result.graph.n_dims} dims to {out}")
     return 0
 
 
-def _cmd_train(args):
-    resolved = resolve_config(args.config, {
-        "model.manifold": args.manifold, "model.layers": args.layers,
-        "model.embed": args.embed, "train.lr": args.lr,
-        "train.epochs": args.epochs, "train.patience": args.patience,
-        "train.telemetry": True if args.telemetry else None, "seed": args.seed,
-    })
+def _cmd_train(args, resolved):
     model_config, train_config = _model_config(resolved), _train_config(resolved)
     graph = load_multiplex(args.graph)
     if train_config.telemetry and graph.n_nodes < geo.TWONN_MIN_POINTS:
@@ -304,7 +307,6 @@ def _cmd_train(args):
                               "epochs": outcome.n_epochs})
     write_history_csv(outcome.history, out / "history.csv")
     _write_embeddings_csv(out / "embeddings.csv", outcome.z_tangent)
-    _write_resolved(resolved, out)
     print(f"trained {outcome.n_epochs} epochs, final loss {outcome.final_loss:.6g}; "
           f"outputs in {out}")
     if outcome.aborted:
@@ -314,8 +316,7 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_diagnose(args):
-    resolved = resolve_config(args.config, {"seed": args.seed})
+def _cmd_diagnose(args, resolved):
     model_config, _, z_tan = _embed_checkpoint(args.checkpoint, load_multiplex(args.graph))
     report = geo.curvature_gap(z_tan, context={
         "checkpoint": str(args.checkpoint), "seed": resolved["seed"],
@@ -328,16 +329,13 @@ def _cmd_diagnose(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_resolved(resolved, out)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
 
-def _cmd_eval(args):
-    resolved = resolve_config(args.config, {"seed": args.seed})
+def _cmd_eval(args, resolved):
     graph = load_multiplex(args.graph)
-    ratio = float(resolved["eval.test_ratio"])
-    split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=int(resolved["seed"]))
+    split = _split(graph, resolved, int(resolved["seed"]))
     if args.checkpoint:
         model_config, z, z_tan = _embed_checkpoint(args.checkpoint, split.train_graph)
     else:
@@ -357,7 +355,6 @@ def _cmd_eval(args):
     out.write_text("\n".join(json.dumps(l, sort_keys=True) for l in lines) + "\n")
     _write_csv(out.with_suffix(".csv"),
                ["task", "auc", "ap", "f1_macro", "f1_micro", "seed", "config_hash"], lines)
-    _write_resolved(resolved, out)
     for l in lines:
         print(json.dumps(l, sort_keys=True))
     return 0
@@ -376,11 +373,7 @@ def _parse_d_range(text):
     return parts
 
 
-def _cmd_sweep(args):
-    resolved = resolve_config(args.config, {
-        "gen.n_nodes": args.n, "gen.n_clusters": args.k,
-        "train.epochs": args.epochs, "seed": args.seed,
-    })
+def _cmd_sweep(args, resolved):
     _check_count("--seeds", args.seeds)
     _check_count("--workers", args.workers)
     train_config = _train_config(resolved)
@@ -390,6 +383,8 @@ def _cmd_sweep(args):
     for spec in specs:  # reject infeasible generator settings before any run
         resolve_params(spec)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not models:
+        raise ConfigError(f"--models names no model variant: {args.models!r}")
     for m in models:
         if m not in mdl.MODEL_VARIANTS:
             raise ConfigError(f"unknown model variant {m!r}; "
@@ -398,7 +393,6 @@ def _cmd_sweep(args):
         specs, _variant_configs(resolved, models), range(args.seeds), train_config,
         workers=args.workers)
     geo.write_sweep_csv(rows, args.out)
-    _write_resolved(resolved, Path(args.out))
     for fail in failures:
         print(f"failed run {fail}", file=sys.stderr)
     by_key = {}
@@ -412,19 +406,15 @@ def _cmd_sweep(args):
 ABLATION_VARIANTS = ("full", "euclidean", "weights-ablation", "layers-ablation")
 
 
-def _cmd_ablate(args):
-    resolved = resolve_config(args.config, {
-        "train.epochs": args.epochs, "seed": args.seed,
-    })
+def _cmd_ablate(args, resolved):
     _check_count("--seeds", args.seeds)
     configs = _variant_configs(resolved, ABLATION_VARIANTS)
     train_config = _train_config(resolved)
     graph = load_multiplex(args.graph)
-    ratio = float(resolved["eval.test_ratio"])
     rows = []
     for s in range(args.seeds):
         run_seed = derive_seed(int(resolved["seed"]), 91, s)
-        split = ev.split_edges(graph, (1.0 - ratio, ratio), seed=run_seed)
+        split = _split(graph, resolved, run_seed)
         tc = replace(train_config, seed=run_seed)
         # the manifold only lifts the trained tangent states, so variants
         # that differ in nothing else share one training
@@ -450,7 +440,6 @@ def _cmd_ablate(args):
         print(f"{variant}: median AUC {median(aucs):.4f}")
     (out / "ablation_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write_resolved(resolved, out)
     return 0
 
 
@@ -459,89 +448,82 @@ def _cmd_ablate(args):
 
 
 def build_parser():
+    """Each flag that sets a config key is parsed under that key (its dest)."""
     parser = _Parser(prog="hypermux",
                      description="hierarchical hyperbolic multiplex graph embedding")
     sub = parser.add_subparsers(dest="command")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--config")
+    run.add_argument("--out", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", dest="gen.n_nodes", type=int)
+    size.add_argument("--k", dest="gen.n_clusters", type=int)
+    epochs = argparse.ArgumentParser(add_help=False)
+    epochs.add_argument("--epochs", dest="train.epochs", type=int)
 
-    p = sub.add_parser("generate", help="write a synthetic multiplex graph")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p-in", dest="p_in", type=float, default=None)
-    p.add_argument("--p-out", dest="p_out", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("generate", parents=[run, size],
+                       help="write a synthetic multiplex graph")
+    p.add_argument("--d", dest="gen.n_dims", type=int)
+    p.add_argument("--p-in", dest="gen.p_in", type=float)
+    p.add_argument("--p-out", dest="gen.p_out", type=float)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("train", help="train embeddings on a graph directory")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--manifold", choices=MANIFOLDS, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--embed", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--telemetry", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[run, graph, epochs],
+                       help="train embeddings on a graph directory")
+    p.add_argument("--manifold", dest="model.manifold", choices=MANIFOLDS)
+    p.add_argument("--layers", dest="model.layers", type=int)
+    p.add_argument("--embed", dest="model.embed", type=int)
+    p.add_argument("--lr", dest="train.lr", type=float)
+    p.add_argument("--patience", dest="train.patience", type=int)
+    p.add_argument("--telemetry", dest="train.telemetry", action="store_const", const=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("diagnose", help="intrinsic-dimension report for a checkpoint")
+    p = sub.add_parser("diagnose", parents=[run, graph],
+                       help="intrinsic-dimension report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("eval", help="link prediction / classification metrics")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--checkpoint", default=None,
+    p = sub.add_parser("eval", parents=[run, graph],
+                       help="link prediction / classification metrics")
+    p.add_argument("--checkpoint",
                    help="score a trained checkpoint instead of retraining on the split")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="gap-vs-D study on synthetic graphs")
+    p = sub.add_parser("sweep", parents=[run, size, epochs],
+                       help="gap-vs-D study on synthetic graphs")
     p.add_argument("--d", required=True, help="D values, '5:40:5' or '5,10,20'")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--models", default="full,euclidean-single")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("ablate", help="compare full model against ablations",
+    p = sub.add_parser("ablate", parents=[run, graph, epochs],
+                       help="compare full model against ablations",
                        description="Train and evaluate the full model and its "
                        "ablations on one graph. Each variant fixes model.manifold "
                        "and model.layers; model.embed and model.leaky_slope apply "
                        "to every variant.")
-    p.add_argument("--graph", required=True)
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 
     return parser
 
 
 def dispatch(argv):
+    """Run one command line; the resolved config is written once the command returns."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        resolved = _resolve(args)
+        code = args.func(args, resolved)
+        _write_resolved(resolved, args.out)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

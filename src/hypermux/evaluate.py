@@ -194,6 +194,17 @@ def edge_scores(z, pairs, kind=mf.LORENTZ, r=2.0, t=1.0):
     return scores
 
 
+def check_scoreable(split: EdgeSplit, labels):
+    """Reject what the scorers would reject, before anything is trained on
+    the split: a split that holds out no edge (`link_prediction_eval`), and
+    labels with fewer than two classes (`classification_eval`)."""
+    if not split.test_pos:
+        raise EvalError(f"empty test set: test ratio {split.ratios[1]} holds out "
+                        f"no edge of any dimension")
+    if labels is not None and len(set().union(*_label_sets(labels))) < 2:
+        raise EvalError("need at least two classes to fit a classifier")
+
+
 def link_prediction_eval(z, split: EdgeSplit, kind=mf.LORENTZ, r=2.0, t=1.0):
     """Pooled AUC/AP over the split's held-out positives and negatives."""
     pairs = list(split.test_pos) + list(split.test_neg)

@@ -307,8 +307,7 @@ class Hierarchy:
         return [self.raw_matrices(l) for l in range(len(self.raw_flat))]
 
 
-def build_hierarchy(level0: StackedAdjacency, params: ModelParams,
-                    config: ModelConfig):
+def build_hierarchy(level0: StackedAdjacency, params: ModelParams):
     """Latent adjacency levels; level 0 is the (constant) normalized input.
 
     Every layer's aggregate is computed, for the diagnostics, but only
@@ -364,7 +363,7 @@ def forward(graph, x, params: ModelParams, config: ModelConfig):
     if f_params != f_graph:
         raise ModelConfigError(f"parameters take F={f_params} input features, "
                                f"the graph has F={f_graph}")
-    hierarchy = build_hierarchy(prepare_adjacencies(graph), params, config)
+    hierarchy = build_hierarchy(prepare_adjacencies(graph), params)
     h = propagate(hierarchy, x, params, config)
     z = mf.lift(val(h), config.manifold)
     violation = mf.lorentz_violation(z) if config.manifold == mf.LORENTZ else 0.0

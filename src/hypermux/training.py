@@ -188,7 +188,7 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     epoch = 0
 
     for epoch in range(1, train_config.max_epochs + 1):
-        hierarchy = mdl.build_hierarchy(level0, params, model_config)
+        hierarchy = mdl.build_hierarchy(level0, params)
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
         loss, z = epoch_loss(hierarchy, x, x_hat, params, q, model_config)
         loss_value = float(loss.value)

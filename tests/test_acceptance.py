@@ -132,7 +132,7 @@ def test_criterion_3_gradient_correctness():
 
     def build(leaves):
         p = mdl.ModelParams.from_named(leaves)
-        hier = mdl.build_hierarchy(level0, p, cfg)
+        hier = mdl.build_hierarchy(level0, p)
         return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
     err = ad.grad_check(build, inputs, epsilon=1e-5, n_coords=120)

@@ -149,6 +149,59 @@ def test_config_precedence_flags_over_file(tmp_path):
     assert resolved["train.weight_decay"] == 1e-5  # default survives
 
 
+# per subcommand: every flag that sets a config key, and the values they set
+KEY_FLAGS = {
+    "generate": ("--n 41 --k 3 --d 4 --p-in 0.4 --p-out 0.02",
+                 {"gen.n_nodes": 41, "gen.n_clusters": 3, "gen.n_dims": 4, "gen.p_in": 0.4,
+                  "gen.p_out": 0.02}),
+    "train": ("--graph g --manifold poincare --layers 3 --embed 7 --lr 0.05 --epochs 9 "
+              "--patience 4 --telemetry",
+              {"model.manifold": "poincare", "model.layers": 3, "model.embed": 7,
+               "train.lr": 0.05, "train.epochs": 9, "train.patience": 4,
+               "train.telemetry": True}),
+    "diagnose": ("--graph g --checkpoint c.npz", {}),
+    "eval": ("--graph g --checkpoint c.npz", {}),
+    "sweep": ("--d 2,3 --n 33 --k 4 --epochs 6 --seeds 2 --models full --workers 2",
+              {"gen.n_nodes": 33, "gen.n_clusters": 4, "train.epochs": 6}),
+    "ablate": ("--graph g --epochs 5 --seeds 2", {"train.epochs": 5}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEY_FLAGS))
+def test_each_flag_sets_its_key(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("HYPERMUX_SEED", raising=False)
+    flags, keys = KEY_FLAGS[command]
+    cfg = _config(tmp_path, {"train.lr": 0.2, "model.embed": 11})
+    args = cli.build_parser().parse_args(
+        [command, *flags.split(), "--seed", "12", "--config", str(cfg), "--out", "o"])
+    assert cli._resolve(args) == {**cli.DEFAULTS, "train.lr": 0.2, "model.embed": 11,
+                                  "seed": 12, **keys}
+    args = cli.build_parser().parse_args([command, *flags.split(), "--out", "o"])
+    assert cli._resolve(args) == {**cli.DEFAULTS, "seed": 0, **keys}
+
+
+@pytest.mark.parametrize("command", sorted(KEY_FLAGS))
+def test_subcommand_help_names_each_key(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "--seed SEED" in text and "--config CONFIG" in text and "--out OUT" in text
+    for key in set(KEY_FLAGS[command][1]) - {"model.manifold", "train.telemetry"}:
+        assert f" {key.upper()}" in text, key
+
+
+def test_resolved_config_written_when_a_command_returns_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.geo, "sweep", lambda *args, **kwargs: ([], ["full D=2 seed 0"]))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--d", "2", "--n", "30", "--k", "2", "--epochs", "3",
+                "--seed", "5", "--out", str(out)]) == 2
+    assert "failed run full D=2 seed 0" in capsys.readouterr().err
+    resolved = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+    assert resolved == cli.resolve_config(None, {"gen.n_nodes": 30, "gen.n_clusters": 2,
+                                                 "train.epochs": 3, "seed": 5})
+
+
 def test_config_unknown_key_listed(tmp_path):
     cfg = _config(tmp_path, {"foo": 1, "train.lr": 0.01})
     with pytest.raises(cli.ConfigError, match="foo"):
@@ -458,6 +511,8 @@ BAD_INPUTS = {
                      "leaky_slope"),
     "sweep-slope": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1",
                     {"model.leaky_slope": 1.5}, "leaky_slope"),
+    "sweep-models-empty": ("sweep --d 2 --seeds 1 --n 30 --k 2 --epochs 1 --models ,", {},
+                           "--models"),
     "eval-logreg-l2-negative": ("eval --graph {g}", {"eval.logreg_l2": -1.0,
                                                      "train.epochs": 1, "model.embed": 4},
                                 "eval.logreg_l2"),
@@ -518,7 +573,20 @@ BAD_INPUTS = {
                           "1 layers of parameters for n_layers=2"),
     "checkpoint-other-dims": ("eval --checkpoint {bad} --graph {g}", {},
                               "layer1 has 2 weight matrices for D=3"),
+    "eval-test-ratio-tiny": ("eval --graph {g}", {"eval.test_ratio": 0.001,
+                                                  "train.epochs": 1, "model.embed": 4},
+                             "empty test set"),
+    "ablate-test-ratio-tiny": ("ablate --graph {g} --seeds 2 --epochs 1",
+                               {"eval.test_ratio": 0.001}, "empty test set"),
+    "eval-one-class": ("eval --graph {g}", {"train.epochs": 1, "model.embed": 4},
+                       "two classes"),
+    # a checkpoint the graph does not fit: the labels are checked before its forward pass
+    "eval-checkpoint-one-class": ("eval --checkpoint {wide} --graph {g}", {}, "two classes"),
+    "ablate-one-class": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "two classes"),
 }
+
+# cases whose graph gives every node the same class
+ONE_CLASS = ("eval-one-class", "eval-checkpoint-one-class", "ablate-one-class")
 
 # meta.json counts that replace the generated graph's own
 BAD_META = {
@@ -613,6 +681,8 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
     if case in BAD_META:
         meta_file = graph_dir / "meta.json"
         meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), **BAD_META[case]}))
+    if case in ONE_CLASS:
+        (graph_dir / "labels.csv").write_text("1\n" * load_multiplex(graph_dir).n_nodes)
     monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")

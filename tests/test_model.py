@@ -289,7 +289,7 @@ def test_level_support_equals_union_pattern():
     rng = np.random.default_rng(14)
     for layer in params.layers:
         layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params)
     union = hier.levels[0].union
     support = union_support(g)
     assert np.array_equal(union.to_dense(np.ones((1, union.nnz)))[0] != 0, support)
@@ -329,7 +329,7 @@ def test_storage_mode_follows_union_density(graph, mode):
     assert level0.union.mode == mode
     params = mdl.init_params(graph.n_dims, 3, cfg, seed=6)
     assert level0.union._stacked == {}
-    hier = mdl.build_hierarchy(level0, params, cfg)
+    hier = mdl.build_hierarchy(level0, params)
     assert [lv.mode for lv in hier.levels] == ["const", mode]
     # the first hierarchy builds the stacked patterns of the sparse levels
     # it propagates through (schedule (3, 2, 1): k = 2), and only those
@@ -366,7 +366,7 @@ def test_hierarchy_holds_only_levels_propagate_reads(n_layers, monkeypatch):
     level0 = mdl.prepare_adjacencies(g)
     assert level0.union.mode == "sparse"
     params = mdl.init_params(6, 3, cfg, seed=0)
-    hier = mdl.build_hierarchy(level0, params, cfg)
+    hier = mdl.build_hierarchy(level0, params)
     # stacked patterns only for the levels a layer propagates through
     assert sorted(level0.union._stacked) == sorted(schedule[1:-1])
     assert [lv.n_blocks for lv in hier.levels] == list(schedule[:-1])
@@ -405,7 +405,7 @@ def test_last_aggregate_is_plain_numpy_with_the_same_bits(mode, monkeypatch):
         (value, parents)) or node(value, parents, vjp))
     level0 = mdl.prepare_adjacencies(g)
     assert level0.union.mode == mode
-    hier = mdl.build_hierarchy(level0, params, cfg)
+    hier = mdl.build_hierarchy(level0, params)
     raw = hier.raw_flat[-1]
     assert hashlib.sha256(raw.tobytes()).hexdigest() == LAST_AGGREGATE_DIGESTS[mode]
     # no layer reads it, so no node is made from its alpha or holds it
@@ -428,7 +428,7 @@ def test_dense_oracle_support_stays_inside_union(seed):
     params = mdl.init_params(d, 2, cfg, seed=0)
     for layer in params.layers:
         layer.alpha_logits.value[:] = 3.0 * rng.normal(size=layer.alpha_logits.shape)
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params)
     support = union_support(g)
     current = [normalize_adjacency(a).toarray() for a in g.dims]
     for l, layer in enumerate(params.layers):

@@ -214,7 +214,7 @@ def test_loss_invariant_under_node_permutation():
     x_hat = corrupt_features(g.features, 77)
 
     def loss_for(graph, x, xh):
-        hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), params, cfg)
+        hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), params)
         return float(tr.epoch_loss(hier, x, xh, params, q, cfg)[0].value)
 
     base = loss_for(g, g.features, x_hat)
@@ -233,7 +233,7 @@ def test_train_minimizes_epoch_loss():
     cfg = mdl.ModelConfig(n_layers=2, embed_size=4, manifold=mf.LORENTZ)
     out = tr.train(g, cfg, tr.TrainConfig(max_epochs=1, seed=5))
     params = mdl.init_params(g.n_dims, g.n_features, cfg, seed=tr.derive_seed(5, 101))
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(g), params)
     x_hat = corrupt_features(g.features, tr.derive_seed(5, 202, 1))
     loss, z = tr.epoch_loss(hier, g.features, x_hat, params,
                             tr.init_discriminator(cfg.embed_size), cfg)
@@ -270,7 +270,7 @@ def test_end_to_end_gradcheck_all_parameter_groups():
 
     def build(leaves):
         p = mdl.ModelParams.from_named(leaves)
-        hier = mdl.build_hierarchy(level0, p, cfg)
+        hier = mdl.build_hierarchy(level0, p)
         return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
     assert ad.grad_check(build, inputs, epsilon=1e-5, n_coords=80) < 1e-4
@@ -302,7 +302,7 @@ def test_end_to_end_gradcheck_sparse_levels():
 
     def build(leaves):
         p = mdl.ModelParams.from_named(leaves)
-        hier = mdl.build_hierarchy(level0, p, cfg)
+        hier = mdl.build_hierarchy(level0, p)
         assert [lv.mode for lv in hier.levels] == ["const", "sparse"]
         return tr.epoch_loss(hier, x, x_hat, p, leaves["Q"], cfg)[0]
 
@@ -319,7 +319,7 @@ def _dgi_loss(graph, cfg, seed=0):
     rng = np.random.default_rng(seed)
     for layer in params.layers:  # off-uniform, so alpha's adjoint is generic
         layer.alpha_logits.value[:] = rng.normal(size=layer.alpha_logits.shape)
-    hier = mdl.build_hierarchy(level0, params, cfg)
+    hier = mdl.build_hierarchy(level0, params)
     loss, _ = tr.epoch_loss(hier, graph.features, corrupt_features(graph.features, 7),
                             params, tr.init_discriminator(cfg.embed_size), cfg)
     return loss, hier
@@ -442,7 +442,7 @@ def _trained_bits(graph, workers, monkeypatch):
     monkeypatch.setattr(ad, "_WORKERS", workers)
     cfg = mdl.ModelConfig.for_variant("full", embed_size=8)
     result = tr.train(graph, cfg, tr.TrainConfig(max_epochs=3, patience=5, seed=2))
-    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), result.params, cfg)
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), result.params)
     x = graph.features
     loss, _ = tr.epoch_loss(hier, x, corrupt_features(x, 9), result.params,
                             result.discriminator, cfg)
