@@ -367,19 +367,27 @@ class StackedOperator:
     Made once from the (k, nnz) values and shared by every `spmm` with
     them: `mat` is a CSR matrix over the pattern's cached stacked
     `indices`/`indptr` whose data are the values themselves (no copy),
-    or, with `dense`, the filled float64 array `value`. `nnz` and
-    `shape` describe the stack. Its products write into arrays the
-    caller made: zeros for a CSR, which adds into them.
+    or, with `dense`, the filled float64 array `value`. A dense operator
+    given `out`, the `value` of an earlier one on the same pattern and
+    of the same shape, is written into it: only the pattern's entries
+    change, and the rest are still zero. `nnz` and `shape` describe the
+    stack. Its products write into arrays the caller made: zeros for a
+    CSR, which adds into them.
     """
 
-    def __init__(self, pattern, values, dense=False):
+    def __init__(self, pattern, values, dense=False, out=None):
         values = val(values)
         k, n = values.shape[0], pattern.n
         self.pattern, self.k, self.dense = pattern, k, dense
         self.shape = (k * n, n)
         self.nnz = k * pattern.nnz
         if dense:
-            self.value = self.mat = pattern.to_dense(values).reshape(self.shape)
+            if out is None:
+                out = np.zeros(self.shape)
+            elif out.shape != self.shape:
+                raise ShapeError(f"StackedOperator: out {out.shape} is not {self.shape}")
+            out.reshape(k, n, n)[:, pattern.rows, pattern.cols] = values
+            self.value = self.mat = out
         else:
             self.indices, self.indptr = pattern.stacked(k)
             self.mat = sps.csr_matrix((values.reshape(-1), self.indices, self.indptr),

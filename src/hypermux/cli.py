@@ -389,9 +389,10 @@ def _cmd_sweep(args, resolved):
         if m not in mdl.MODEL_VARIANTS:
             raise ConfigError(f"unknown model variant {m!r}; "
                               f"choose from {sorted(mdl.MODEL_VARIANTS)}")
-    rows, failures = geo.sweep(
-        specs, _variant_configs(resolved, models), range(args.seeds), train_config,
-        workers=args.workers)
+    configs = _variant_configs(resolved, models)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    rows, failures = geo.sweep(specs, configs, range(args.seeds), train_config,
+                               workers=args.workers)
     geo.write_sweep_csv(rows, args.out)
     for fail in failures:
         print(f"failed run {fail}", file=sys.stderr)

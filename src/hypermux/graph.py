@@ -230,9 +230,14 @@ def load_multiplex(path) -> MultiplexGraph:
     counts = ("n_nodes", "n_dims", "n_features")
     try:
         meta = json.loads(meta_file.read_text())
-        n, d, f = (meta[key] for key in counts)
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise GraphFormatError(f"bad meta file {meta_file}: {exc}") from exc
+    missing = [key for key in counts if key not in meta] if isinstance(meta, dict) else counts
+    if missing:
+        got = f"no {missing[0]} key" if isinstance(meta, dict) else f"got {type(meta).__name__}"
+        raise GraphFormatError(f"bad meta file {meta_file}: expected a JSON object with "
+                               f"n_nodes, n_dims and n_features; {got}")
+    n, d, f = (meta[key] for key in counts)
     for key, value in zip(counts, (n, d, f)):
         if type(value) is not int or value < 1:  # bool is an int subclass
             raise GraphFormatError(

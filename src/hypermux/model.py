@@ -242,10 +242,12 @@ class StackedAdjacency:
                       their CSR over the union's column indices tiled D times.
     A built level makes its `ad.StackedOperator` once, and the clean and
     the corrupted pass both multiply by it through `ad.spmm`, whose
-    adjoints form no (D*N, N) array.
+    adjoints form no (D*N, N) array. A "dense" level given `out`, the
+    operator array of a level nothing reads any more, refills it in
+    place instead of making a new one.
     """
 
-    def __init__(self, union, values, csr=None):
+    def __init__(self, union, values, csr=None, out=None):
         self.union = union
         self.n = union.n
         self.n_blocks = val(values).shape[0]
@@ -253,7 +255,7 @@ class StackedAdjacency:
         self.csr = csr
         if csr is None:
             self.mode = union.mode
-            self.op = ad.StackedOperator(union, values, dense=union.mode == "dense")
+            self.op = ad.StackedOperator(union, values, dense=union.mode == "dense", out=out)
         else:
             self.mode, self.op = "const", None
 
@@ -307,11 +309,15 @@ class Hierarchy:
         return [self.raw_matrices(l) for l in range(len(self.raw_flat))]
 
 
-def build_hierarchy(level0: StackedAdjacency, params: ModelParams):
+def build_hierarchy(level0: StackedAdjacency, params: ModelParams, reuse=None):
     """Latent adjacency levels; level 0 is the (constant) normalized input.
 
     Every layer's aggregate is computed, for the diagnostics, but only
     those a later layer propagates through are normalized into levels.
+    `reuse`, when given, is an earlier hierarchy on `level0` whose
+    levels nothing reads any more (`train` passes the previous epoch's):
+    each dense level refills that hierarchy's operator array of the same
+    level in place. Without it every level's operator is a new array.
     """
     union = level0.union
     levels = [level0]
@@ -325,7 +331,8 @@ def build_hierarchy(level0: StackedAdjacency, params: ModelParams):
         if l < len(params.layers):
             raw = ad.matmul_relu(ad.softmax(layer.alpha_logits, axis=-1), current.values)
             raw_all.append(raw.value)
-            levels.append(StackedAdjacency(union, ad.normalize_blocks(raw, union)))
+            out = reuse.levels[l].op.value if reuse is not None and union.mode == "dense" else None
+            levels.append(StackedAdjacency(union, ad.normalize_blocks(raw, union), out=out))
         else:  # read by no layer, so no gradient reaches its alpha: off the tape
             raw = ad.softmax_array(layer.alpha_logits.value) @ val(current.values)
             raw_all.append(np.maximum(raw, 0.0, out=raw))

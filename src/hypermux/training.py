@@ -7,6 +7,11 @@ discriminator, and minimizes the negative log-likelihood of telling the
 two apart (`epoch_loss`). The latent adjacency hierarchy depends only
 on the combination logits, so it is built once per epoch and shared by
 the clean and corrupted passes.
+
+One epoch's tape is in memory at a time: `train` lets go of the
+previous one right after the next hierarchy is built, before that
+epoch's passes, and that build refills the previous hierarchy's dense
+operator arrays in place (`model.build_hierarchy`'s `reuse`).
 """
 
 from __future__ import annotations
@@ -186,9 +191,15 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
     z_tangent = None
     aborted = None
     epoch = 0
+    hierarchy = loss = z = None
 
     for epoch in range(1, train_config.max_epochs + 1):
-        hierarchy = mdl.build_hierarchy(level0, params)
+        hierarchy = mdl.build_hierarchy(level0, params, reuse=hierarchy)
+        # The previous epoch's tape goes only now, after the build: freed
+        # right after `optimizer.step`, it is the top of the heap, which
+        # glibc trims and the next epoch faults back in; freed here, it
+        # leaves holes below the new hierarchy that the passes reuse.
+        loss = z = None
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
         loss, z = epoch_loss(hierarchy, x, x_hat, params, q, model_config)
         loss_value = float(loss.value)

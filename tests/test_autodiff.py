@@ -329,6 +329,20 @@ def test_stacked_operator_shares_the_values_and_cached_indices():
     assert np.array_equal(dense.value, op.mat.toarray())
 
 
+def test_dense_operator_refills_an_earlier_one_in_place():
+    rng = np.random.default_rng(27)
+    pattern, first, values = _operator_case("dense", 0.3, rng)
+    buffer = first.value
+    other = rng.random(values.shape)
+    refilled = ad.StackedOperator(pattern, other, dense=True, out=buffer)
+    assert refilled.value is buffer and refilled.mat is buffer
+    fresh = ad.StackedOperator(pattern, other, dense=True).value
+    assert not np.shares_memory(fresh, buffer)
+    assert fresh.tobytes() == buffer.tobytes()
+    with pytest.raises(ad.ShapeError, match="out"):
+        ad.StackedOperator(pattern, other[:2], dense=True, out=buffer)
+
+
 def test_backward_leaves_the_seed_untouched():
     # add hands the seed to both operands, and the second adds onto the first
     x = ad.leaf(np.ones(3))

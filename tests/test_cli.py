@@ -367,6 +367,17 @@ def test_sweep_rows_and_medians(tmp_path, capsys):
     assert "median gap" in capsys.readouterr().out
 
 
+def test_sweep_makes_the_directory_of_its_out_file_before_training(tmp_path, monkeypatch):
+    out = tmp_path / "missing" / "sweep.csv"
+    made, sweep = [], cli.geo.sweep
+    monkeypatch.setattr(cli.geo, "sweep", lambda *args, **kwargs: made.append(
+        out.parent.is_dir()) or sweep(*args, **kwargs))
+    assert run(["sweep", "--d", "2", "--seeds", "1", "--models", "euclidean-single",
+                "--n", "30", "--k", "2", "--epochs", "2", "--out", str(out)]) == 0
+    assert made == [True]
+    assert out.read_text().startswith("d,model,seed,id,lid,gap,loss_final")
+
+
 def test_sweep_applies_train_keys(tmp_path, capsys):
     csvs = []
     for tag, payload in [("default", {}), ("tuned", {"train.lr": 0.05, "train.patience": 2})]:
@@ -539,6 +550,11 @@ BAD_INPUTS = {
     "meta-nodes-beyond-keys": ("train --graph {g} --epochs 1", {}, "n_nodes"),
     "meta-dims-bool": ("train --graph {g} --epochs 1", {}, "n_dims"),
     "meta-features-text": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "n_features"),
+    "meta-array": ("train --graph {g} --epochs 1", {},
+                   "expected a JSON object with n_nodes, n_dims and n_features"),
+    "meta-string": ("eval --graph {g}", {"train.epochs": 1}, "JSON object"),
+    "meta-null": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "JSON object"),
+    "meta-no-dims": ("train --graph {g} --epochs 1", {}, "no n_dims key"),
     "weight-decay-negative": ("train --graph {g} --epochs 1", {"train.weight_decay": -5.0},
                               "weight_decay"),
     "min-delta-negative": ("train --graph {g} --epochs 1", {"train.min_delta": -1.0},
@@ -588,7 +604,7 @@ BAD_INPUTS = {
 # cases whose graph gives every node the same class
 ONE_CLASS = ("eval-one-class", "eval-checkpoint-one-class", "ablate-one-class")
 
-# meta.json counts that replace the generated graph's own
+# meta.json counts that replace the generated graph's own, or an edit of its meta
 BAD_META = {
     "meta-nodes-negative": {"n_nodes": -3},
     "meta-nodes-zero": {"n_nodes": 0},
@@ -596,6 +612,10 @@ BAD_META = {
     "meta-nodes-beyond-keys": {"n_nodes": 3_037_000_500},
     "meta-dims-bool": {"n_dims": True},
     "meta-features-text": {"n_features": "3"},
+    "meta-array": lambda meta: [],
+    "meta-string": lambda meta: "x",
+    "meta-null": lambda meta: None,
+    "meta-no-dims": lambda meta: {k: v for k, v in meta.items() if k != "n_dims"},
 }
 
 
@@ -679,8 +699,9 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
     if case in BAD_CHECKPOINTS:
         _write_bad_checkpoint(bad, graph_dir, BAD_CHECKPOINTS[case])
     if case in BAD_META:
-        meta_file = graph_dir / "meta.json"
-        meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), **BAD_META[case]}))
+        meta_file, edit = graph_dir / "meta.json", BAD_META[case]
+        meta = json.loads(meta_file.read_text())
+        meta_file.write_text(json.dumps(edit(meta) if callable(edit) else {**meta, **edit}))
     if case in ONE_CLASS:
         (graph_dir / "labels.csv").write_text("1\n" * load_multiplex(graph_dir).n_nodes)
     monkeypatch.setattr(cli, "train", _no_training)

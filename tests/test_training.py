@@ -1,7 +1,9 @@
 import functools
+import hashlib
 import inspect
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -406,6 +408,77 @@ def test_epoch_tape_keeps_each_activation_once(p_in, p_out, mode):
     assert all(t.shape != (schedule[-1], nnz) for t in tape)  # the last aggregate
 
 
+PROBE_GRAPHS = {  # 60 nodes, 4 dimensions: a sparse and a dense union
+    "sparse": GenParams(n_nodes=60, n_clusters=3, n_dims=4, p_in=0.15, p_out=0.02, seed=8),
+    "dense": GenParams(n_nodes=60, n_clusters=3, n_dims=4, p_in=0.9, p_out=0.02, seed=8),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PROBE_GRAPHS))
+def test_one_epoch_tape_in_memory_at_a_time(mode, monkeypatch):
+    # each pass's states are part of its epoch's tape: none of the previous
+    # epoch's may still be alive when the next epoch's passes start
+    graph = generate(PROBE_GRAPHS[mode]).graph
+    assert mdl.prepare_adjacencies(graph).union.mode == mode
+    states, alive = [], []  # per epoch: weak references to its passes' states
+    propagate, epoch_loss = mdl.propagate, tr.epoch_loss
+
+    def recorded_propagate(*args, **kwargs):
+        h = propagate(*args, **kwargs)
+        states[-1].append(weakref.ref(h.value))
+        return h
+
+    def counted_epoch_loss(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in states[-1]) if states else 0)
+        states.append([])
+        return epoch_loss(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "propagate", recorded_propagate)
+    monkeypatch.setattr(tr, "epoch_loss", counted_epoch_loss)
+    tr.train(graph, mdl.ModelConfig(n_layers=2, embed_size=5),
+             tr.TrainConfig(max_epochs=4, patience=5))
+    assert [len(s) for s in states] == [2, 2, 2, 2]
+    assert alive == [0, 0, 0, 0]
+
+
+# a dense union whose 3-layer schedule (6, 3, 2, 1) builds two dense levels
+DENSE_SIX_DIMS = GenParams(n_nodes=60, n_clusters=3, n_dims=6, p_in=0.9, p_out=0.3, seed=8)
+
+
+def test_dense_levels_refill_one_operator_across_epochs(monkeypatch):
+    graph = generate(DENSE_SIX_DIMS).graph
+    assert mdl.prepare_adjacencies(graph).union.mode == "dense"
+    built = []  # per epoch: each dense level's operator array, and its bits when built
+    build = mdl.build_hierarchy
+
+    def recorded_build(*args, **kwargs):
+        hier = build(*args, **kwargs)
+        built.append([(lv.op.value, lv.op.value.tobytes(),
+                       lv.union.to_dense(lv.values).reshape(lv.op.shape).tobytes())
+                      for lv in hier.levels[1:]])
+        return hier
+
+    monkeypatch.setattr(mdl, "build_hierarchy", recorded_build)
+    tr.train(graph, mdl.ModelConfig(n_layers=3, embed_size=5),
+             tr.TrainConfig(max_epochs=4, patience=5))
+    assert len(built) == 4 and all(len(levels) == 2 for levels in built)  # schedule 6, 3, 2, 1
+    assert all(got == want for levels in built for _, got, want in levels)
+    for l, (first, _, _) in enumerate(built[0]):
+        assert all(np.shares_memory(levels[l][0], first) for levels in built[1:])
+    assert not np.shares_memory(built[0][0][0], built[0][1][0])
+
+
+def test_hierarchies_built_outside_train_share_no_operator():
+    graph = generate(DENSE_SIX_DIMS).graph
+    level0 = mdl.prepare_adjacencies(graph)
+    assert level0.union.mode == "dense"
+    params = mdl.init_params(6, graph.n_features, mdl.ModelConfig(n_layers=3, embed_size=5))
+    first, second = (mdl.build_hierarchy(level0, params) for _ in range(2))
+    for a, b in zip(first.levels[1:], second.levels[1:]):
+        assert not np.shares_memory(a.op.value, b.op.value)
+        assert a.op.value.tobytes() == b.op.value.tobytes()
+
+
 def test_history_csv_format(tmp_path):
     rows = [tr.HistoryRow(1, -0.5, 2.25, 3), tr.HistoryRow(2, -0.75)]
     path = tmp_path / "history.csv"
@@ -509,3 +582,35 @@ def test_ops_are_entered_on_the_calling_thread(monkeypatch):
              tr.TrainConfig(max_epochs=2, patience=5))
     assert len(wrapped) > 20 and callers == {threading.get_ident()}
     assert len(kernel_threads) == 2
+
+
+# sha256 of the losses, Z and every epoch's gradients of a 3-epoch training,
+# recorded before each dense level refilled the previous epoch's operator
+TRAINING_DIGESTS = {
+    "dense": "bb0468cd9225187dfd5934259e9faa2f49d1485fc5db8d92a8ef8b7b6497bb96",
+    "sparse": "71ab1db31e7db084a75cf1b471d2e16a4698c0529c583fffab89da25944e1f8a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAINING_DIGESTS))
+def test_training_matches_recorded_digests(case, monkeypatch):
+    graph = generate(POOL_GRAPHS[case]).graph
+    assert mdl.prepare_adjacencies(graph).union.mode == case
+    grads = []
+    step = tr.Adam.step
+
+    def recorded_step(self, g):
+        grads.append({name: a.copy() for name, a in g.items()})
+        return step(self, g)
+
+    monkeypatch.setattr(tr.Adam, "step", recorded_step)
+    result = tr.train(graph, mdl.ModelConfig.for_variant("full", embed_size=8),
+                      tr.TrainConfig(max_epochs=3, patience=5, seed=2))
+    assert len(grads) == 3
+    h = hashlib.sha256(np.array([r.loss for r in result.history]).tobytes())
+    h.update(result.z_tangent.tobytes())
+    for g in grads:
+        for name in sorted(g):
+            h.update(name.encode())
+            h.update(g[name].tobytes())
+    assert h.hexdigest() == TRAINING_DIGESTS[case]
