@@ -42,6 +42,10 @@ takes the leaky relu's slope and activates each block's product within
 its halves, and `matmul_relu` applies relu to its product in place. Both
 adjoints read the sign from the activated output, so the tape keeps one
 array where a product and a separate activation would keep two.
+`block_matmul` also takes several passes side by side in its operand's
+columns and serves them all with one product per block; its adjoint
+scales by slope or 1.0 picked through `np.take` rather than by a masked
+copy, whose branches mispredict on the random signs of the states.
 
 Everything is float64. Elementwise ops broadcast like numpy; adjoints
 are summed back onto the original operand shapes. Evaluation is
@@ -600,6 +604,16 @@ def transpose(a):
     return _node(a.value.T, (a,), lambda g: (g.T,))
 
 
+def columns(a, start, stop):
+    """Columns [start, stop) of a 2-d operand, as a view of its value."""
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[:, start:stop] = g
+        return (out,)
+
+    return _node(a.value[:, start:stop], (a,), vjp)
+
+
 def block_matmul(x, weights, block, slope):
     """Per-block linear maps and the leaky relu: rows [d*block, (d+1)*block)
     of x hit weights[d], and each product y becomes max(y, slope * y).
@@ -610,47 +624,66 @@ def block_matmul(x, weights, block, slope):
     op instead of k slice-then-matmul pairs and an activation: the tape
     keeps the activated output alone, and the adjoint reads the sign from
     it (out > 0 exactly where y > 0, but for that exception), then fills
-    a single buffer w.r.t. x. Forward and adjoint each run as two halves
-    of the blocks, each with its own (block, f_out) buffer.
+    a single buffer w.r.t. x.
+
+    x may carry p passes side by side: with (f_in, f_out) weights, a
+    (k*block, p*f_in) x gives a (k*block, p*f_out) output whose column
+    range [j*f_out, (j+1)*f_out) is pass j's. Each C-ordered block of x
+    is then a free (p*block, f_in) view, so one product per block serves
+    every pass and writes into the same view of the output block; the
+    weight adjoint sums over the p*block rows. Forward and adjoint each
+    run as two halves of the blocks, each with its own (p*block, f_out)
+    buffer, and the adjoint with a second one of intp: it scales g by
+    slope or 1.0, picked by the output's sign through `np.take`, the same
+    product as a masked copy without its branches.
     """
-    xs = x.value
+    xs = np.ascontiguousarray(x.value)
     k = xs.shape[0] // block
     if xs.ndim != 2 or xs.shape[0] % block or len(weights) != k:
         raise ShapeError(f"block_matmul: {xs.shape} with {len(weights)} weights "
                          f"of block {block}")
     wvals = [w.value for w in weights]
     f_in, f_out = wvals[0].shape
+    p = xs.shape[1] // f_in
     for w in wvals:
-        if w.shape != (f_in, f_out) or f_in != xs.shape[1]:
+        if w.shape != (f_in, f_out) or p < 1 or p * f_in != xs.shape[1]:
             raise ShapeError(f"block_matmul: weight shape {w.shape} incompatible "
                              f"with input {xs.shape}")
-    out = np.empty((xs.shape[0], f_out))
+    rows = p * block  # of each block's view
+    x3 = xs.reshape(k, rows, f_in)
+    out = np.empty((xs.shape[0], p * f_out))
+    out3 = out.reshape(k, rows, f_out)
 
     def forward(blocks, buf):
         for d in blocks:
-            sl = slice(d * block, (d + 1) * block)
-            np.matmul(xs[sl], wvals[d], out=buf)
-            np.multiply(buf, slope, out=out[sl])  # max(slope * y, y)
-            np.maximum(out[sl], buf, out=out[sl])
+            np.matmul(x3[d], wvals[d], out=buf)
+            np.multiply(buf, slope, out=out3[d])  # max(slope * y, y)
+            np.maximum(out3[d], buf, out=out3[d])
 
-    _run(*(partial(forward, blocks, np.empty((block, f_out))) for blocks in _halves(k)))
+    _run(*(partial(forward, blocks, np.empty((rows, f_out))) for blocks in _halves(k)))
+    factors = np.array([slope, 1.0])  # indexed by out > 0
 
     def vjp(g):
+        g3 = np.ascontiguousarray(g).reshape(k, rows, f_out)
         gx = np.empty_like(xs) if x.requires_grad else None
+        gx3 = None if gx is None else gx.reshape(k, rows, f_in)
         gws = [np.empty((f_in, f_out)) if w.requires_grad else None for w in weights]
 
-        def adjoint(blocks, buf):
+        def adjoint(blocks, buf, picks):
             for d in blocks:
-                sl = slice(d * block, (d + 1) * block)
-                # where(out > 0, g, slope * g), block by block
-                np.multiply(g[sl], slope, out=buf)
-                np.copyto(buf, g[sl], where=out[sl] > 0)
-                if gx is not None:
-                    np.matmul(buf, wvals[d].T, out=gx[sl])
+                # where(out > 0, g, slope * g), block by block. The picks are
+                # intp, so `take` converts no index; "clip" writes straight
+                # into `buf` ("raise" buffers it)
+                np.greater(out3[d], 0.0, out=picks)
+                np.take(factors, picks, out=buf, mode="clip")
+                buf *= g3[d]
+                if gx3 is not None:
+                    np.matmul(buf, wvals[d].T, out=gx3[d])
                 if gws[d] is not None:
-                    np.matmul(xs[sl].T, buf, out=gws[d])
+                    np.matmul(x3[d].T, buf, out=gws[d])
 
-        _run(*(partial(adjoint, blocks, np.empty((block, f_out))) for blocks in _halves(k)))
+        _run(*(partial(adjoint, blocks, np.empty((rows, f_out)), np.empty((rows, f_out), np.intp))
+               for blocks in _halves(k)))
         return (gx, *gws)
 
     return _node(out, (x, *weights), vjp)

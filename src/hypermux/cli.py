@@ -27,7 +27,8 @@ from .autodiff import val
 from .graph import GraphFormatError, derive_seed, load_multiplex, save_multiplex
 from .manifold import MANIFOLDS, lift
 from .synthetic import GenConfigError, GenParams, generate, resolve_params, sweep_specs
-from .training import TrainConfig, TrainConfigError, train, write_history_csv
+from .training import (FeatureRangeError, TrainConfig, TrainConfigError, train,
+                       write_history_csv)
 
 
 class ConfigError(ValueError):
@@ -41,7 +42,7 @@ class _UsageError(Exception):
 # errors of bad input; `dispatch` turns them into exit code 1
 EXIT_ONE_ERRORS = (ConfigError, GenConfigError, GraphFormatError, ev.EvalError,
                    geo.EstimatorError, mdl.CheckpointError, mdl.ModelConfigError,
-                   TrainConfigError)
+                   TrainConfigError, FeatureRangeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,6 +271,18 @@ def _split(graph, resolved, seed):
     return split
 
 
+def _train(graph_dir, graph, model_config, train_config):
+    """`train` on the graph loaded from `graph_dir`, or on a split of it;
+    a FeatureRangeError names the features file when the graph has one."""
+    try:
+        return train(graph, model_config, train_config)
+    except FeatureRangeError as exc:
+        features = Path(graph_dir) / "features.csv"
+        if features.exists():  # without it the features are node degrees
+            raise FeatureRangeError(f"{features}: {exc}") from exc
+        raise
+
+
 def _check_count(flag, n):
     if n < 1:
         raise ConfigError(f"{flag} must be >= 1, got {n}")
@@ -296,9 +309,9 @@ def _cmd_train(args, resolved):
         raise geo.EstimatorError(
             f"need >= {geo.TWONN_MIN_POINTS} distinct points, have {graph.n_nodes} nodes; "
             f"train.telemetry estimates the TwoNN dimension every epoch")
+    outcome = _train(args.graph, graph, model_config, train_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outcome = train(graph, model_config, train_config)
     mdl.save_checkpoint(out / "checkpoint.npz", outcome.params,
                         outcome.discriminator, model_config,
                         meta={"seed": resolved["seed"],
@@ -340,7 +353,7 @@ def _cmd_eval(args, resolved):
         model_config, z, z_tan = _embed_checkpoint(args.checkpoint, split.train_graph)
     else:
         model_config = _model_config(resolved)
-        outcome = train(split.train_graph, model_config, _train_config(resolved))
+        outcome = _train(args.graph, split.train_graph, model_config, _train_config(resolved))
         z, z_tan = outcome.z_final, outcome.z_tangent
     scores = _scores(z, z_tan, model_config.manifold, split, graph.labels,
                      int(resolved["seed"]), resolved)
@@ -423,7 +436,7 @@ def _cmd_ablate(args, resolved):
         for variant, config in configs.items():
             key = astuple(replace(config, manifold=None))
             if key not in trained:
-                trained[key] = train(split.train_graph, config, tc)
+                trained[key] = _train(args.graph, split.train_graph, config, tc)
             outcome = trained[key]
             rows.append({"variant": variant, "seed": s, "loss_final": outcome.final_loss,
                          **_scores(lift(outcome.z_tangent, config.manifold),

@@ -30,12 +30,17 @@ D_{l-1}) product over values and re-normalization reduces over the
 pattern's rows, so memory grows with D*nnz rather than D*N^2. For
 propagation the D matrices act as one (D*N, N) vertical block stack, a
 single product over every dimension. A built level makes that operator
-once, as an `autodiff.StackedOperator` shared by the clean and the
-corrupted pass: a CSR over the union's column indices tiled D times, or
-one dense array when the union fills more than `DENSE_UNION_DENSITY` of
-the N x N entries (so it is under four times the level's values). Its
-adjoints (`autodiff.spmm`) form no (D*N, N) array, so training memory
-grows with D*nnz as well.
+once, as an `autodiff.StackedOperator`: a CSR over the union's column
+indices tiled D times, or one dense array when the union fills more
+than `DENSE_UNION_DENSITY` of the N x N entries (so it is under four
+times the level's values). Its adjoints (`autodiff.spmm`) form no
+(D*N, N) array, so training memory grows with D*nnz as well.
+
+`propagate` takes node states that may carry several passes side by
+side, F columns each: training runs the clean and the corrupted pass as
+one (N, 2F) operand (`training.epoch_loss`), so every level's operator
+is multiplied once per epoch, and the per-dimension maps read the pass
+count from the width (`autodiff.block_matmul`).
 """
 
 from __future__ import annotations
@@ -240,11 +245,11 @@ class StackedAdjacency:
                       their filled (D*N, N) array;
            "sparse" - built level of a sparse union: traced values, `op`
                       their CSR over the union's column indices tiled D times.
-    A built level makes its `ad.StackedOperator` once, and the clean and
-    the corrupted pass both multiply by it through `ad.spmm`, whose
-    adjoints form no (D*N, N) array. A "dense" level given `out`, the
-    operator array of a level nothing reads any more, refills it in
-    place instead of making a new one.
+    A built level makes its `ad.StackedOperator` once, and propagation
+    multiplies by it through `ad.spmm`, whose adjoints form no (D*N, N)
+    array. A "dense" level given `out`, the operator array of a level
+    nothing reads any more, refills it in place instead of making a new
+    one.
     """
 
     def __init__(self, union, values, csr=None, out=None):
@@ -343,7 +348,9 @@ def propagate(hierarchy: Hierarchy, x, params: ModelParams, config: ModelConfig)
     """Run the embedding layers over a prebuilt adjacency hierarchy.
 
     Every layer works in tangent coordinates at the base point. Returns
-    H, the last layer's N x M states.
+    H, the last layer's N x M states; for p passes side by side in the
+    (N, p*F) `x`, the (N, p*M) states with pass j in columns
+    [j*M, (j+1)*M).
     """
     n = hierarchy.levels[0].n
     h = x if isinstance(x, Tensor) else ad.constant(x)

@@ -5,12 +5,13 @@ corruption of it (fresh permutation per epoch, derived from the run
 seed), scores both against the clean summary vector with a bilinear
 discriminator, and minimizes the negative log-likelihood of telling the
 two apart (`epoch_loss`). The latent adjacency hierarchy depends only
-on the combination logits, so it is built once per epoch and shared by
-the clean and corrupted passes.
+on the combination logits, so it is built once per epoch, and the clean
+and the corrupted pass run through it as one: their features side by
+side, an (N, 2F) operand, give both passes' states in one propagation.
 
 One epoch's tape is in memory at a time: `train` lets go of the
 previous one right after the next hierarchy is built, before that
-epoch's passes, and that build refills the previous hierarchy's dense
+epoch's pass, and that build refills the previous hierarchy's dense
 operator arrays in place (`model.build_hierarchy`'s `reuse`).
 """
 
@@ -39,6 +40,17 @@ class TrainingError(RuntimeError):
 
 class TrainConfigError(ValueError):
     pass
+
+
+class FeatureRangeError(ValueError):
+    """Input features too large for float64: the first epoch's loss or a
+    gradient is not finite. That comes before any update, so only the input
+    can cause it."""
+
+
+def _feature_range_error(what, x):
+    return FeatureRangeError(f"the features make {what} non-finite in epoch 1, before any "
+                             f"update (largest |feature| {np.abs(x).max():.3g}); rescale them")
 
 
 @dataclass
@@ -96,12 +108,15 @@ def dgi_objective(z, z_corrupt, q):
 
 
 def epoch_loss(hierarchy, x, x_hat, params, q, config: mdl.ModelConfig):
-    """(loss, clean states): the negated `dgi_objective` of the `propagate`
-    passes over `x` and its corruption `x_hat` through one hierarchy. The
-    one loss `train` minimizes and the gradient checks test."""
-    z = mdl.propagate(hierarchy, x, params, config)
-    z_hat = mdl.propagate(hierarchy, x_hat, params, config)
-    return ad.neg(dgi_objective(z, z_hat, q)), z
+    """(loss, clean states): the negated `dgi_objective` of the clean and
+    the corrupted states. One `propagate` runs both passes through the
+    hierarchy, on the (N, 2F) features `[x | x_hat]`; the first M columns
+    of its (N, 2M) output are the clean states, the last M the corrupted
+    ones. The one loss `train` minimizes and the gradient checks test."""
+    h = mdl.propagate(hierarchy, np.hstack([x, x_hat]), params, config)
+    m = h.shape[1] // 2
+    z = ad.columns(h, 0, m)
+    return ad.neg(dgi_objective(z, ad.columns(h, m, 2 * m), q)), z
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +186,9 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
 
     Stops after `patience` consecutive epochs without improving the best
     loss by at least `min_delta`, or at `max_epochs`. A non-finite loss
-    aborts, keeping the parameters from before the offending update.
+    aborts, keeping the parameters from before the offending update; in
+    the first epoch, before any update, a non-finite loss or gradient
+    raises FeatureRangeError instead.
     States stay in tangent coordinates; the output is lifted once, at the end.
     """
     train_config.validate()
@@ -198,12 +215,15 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
         # The previous epoch's tape goes only now, after the build: freed
         # right after `optimizer.step`, it is the top of the heap, which
         # glibc trims and the next epoch faults back in; freed here, it
-        # leaves holes below the new hierarchy that the passes reuse.
+        # leaves holes below the new hierarchy that the pass reuses.
         loss = z = None
         x_hat = corrupt_features(x, derive_seed(train_config.seed, 202, epoch))
-        loss, z = epoch_loss(hierarchy, x, x_hat, params, q, model_config)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
+            loss, z = epoch_loss(hierarchy, x, x_hat, params, q, model_config)
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
+            if epoch == 1:
+                raise _feature_range_error("the loss", x)
             aborted = f"non-finite loss at epoch {epoch}"
             epoch -= 1
             break
@@ -226,8 +246,13 @@ def train(graph, model_config: mdl.ModelConfig, train_config: TrainConfig) -> Tr
             if since_improved >= train_config.patience:
                 break
 
-        ad.backward(loss)
+        with np.errstate(over="ignore", invalid="ignore"):  # `Adam.step` checks the gradients
+            ad.backward(loss)
         grads = {name: ad.grad_or_zero(t) for name, t in trainables}
+        if epoch == 1:
+            bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+            if bad:
+                raise _feature_range_error(f"the gradient for parameter {bad[0]!r}", x)
         optimizer.step(grads)
 
     if z_tangent is None:

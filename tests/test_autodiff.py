@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -68,6 +70,12 @@ PRIMITIVE_PROBES = {
     "normalize_blocks": (lambda v, _w=_mat((2, SYM.nnz)): ad.tsum(ad.mul(
         ad.normalize_blocks(v["a"], SYM), _w)),
         {"a": np.abs(_mat((2, SYM.nnz)))}),
+    # the clean and the corrupted pass side by side: x holds two 4-wide passes
+    "leaky_relu_two_pass": (lambda v, _w=_mat((6, 4)): ad.tsum(ad.mul(
+        ad.block_matmul(v["x"], [v["w0"], v["w1"]], 3, 0.2), _w)),
+        {"x": _mat((6, 8)), "w0": _mat((4, 2)), "w1": _mat((4, 2))}),
+    "columns": (lambda v, _w=_mat((3, 2)): ad.tsum(ad.mul(ad.columns(v["a"], 1, 3), _w)),
+                {"a": _mat((3, 4))}),
 }
 
 
@@ -376,20 +384,18 @@ def test_leaky_relu_matches_where_oracle(slope):
 
 def _unfused_block_matmul(x, weights, block, slope, g):
     """block_matmul as its per-block products, then leaky relu, with the
-    adjoints of that composition: (out, gx, gws)."""
-    pre = np.empty((x.shape[0], weights[0].shape[1]))
-    for d, w in enumerate(weights):
-        pre[d * block:(d + 1) * block] = x[d * block:(d + 1) * block] @ w
+    adjoints of that composition: (out, gx, gws). With p passes side by
+    side in x, each block's product is of its (p*block, f_in) view."""
+    f_in = weights[0].shape[0]
+    x3 = x.reshape(len(weights), -1, f_in)
+    pre = np.stack([xb @ w for xb, w in zip(x3, weights)])
     out = pre * slope
     np.maximum(out, pre, out=out)
-    g_pre = np.where(pre > 0, g, slope * g)
-    gx = np.empty_like(x)
-    gws = []
-    for d, w in enumerate(weights):
-        sl = slice(d * block, (d + 1) * block)
-        gx[sl] = g_pre[sl] @ w.T
-        gws.append(x[sl].T @ g_pre[sl])
-    return out, gx, gws
+    g3 = g.reshape(pre.shape)
+    g_pre = np.where(pre > 0, g3, slope * g3)
+    gx = np.stack([gb @ w.T for gb, w in zip(g_pre, weights)]).reshape(x.shape)
+    gws = [xb.T @ gb for xb, gb in zip(x3, g_pre)]
+    return out.reshape(g.shape), gx, gws
 
 
 @pytest.mark.parametrize("workers", [0, 1])
@@ -418,21 +424,50 @@ def test_fused_activations_equal_the_unfused_composition_to_the_bit(density, kin
     assert logits.grad.tobytes() == (alpha.value * (alpha_grad - (
         alpha_grad * alpha.value).sum(axis=-1, keepdims=True))).tobytes()
     # leaky relu of the per-block linear maps of a propagated state
+    # of one pass, and of two side by side (the clean and the corrupted)
     op = ad.StackedOperator(pattern, values, dense=kind == "dense")
-    for slope in (0.0, 0.01, 1.0):
-        x = ad.leaf(ad.spmm(op, vals, ad.constant(rng.normal(size=(n, f)))).value)
+    for passes, slope in itertools.product((1, 2), (0.0, 0.01, 1.0)):
+        x = ad.leaf(ad.spmm(op, vals, ad.constant(rng.normal(size=(n, passes * f)))).value)
         weights = [ad.leaf(rng.normal(size=(f, m))) for _ in range(k)]
+        for w in weights:
+            w.value[:, 1] = 0.0  # outputs of exactly zero
         out = ad.block_matmul(x, weights, n, slope)
+        assert out.shape == (k * n, passes * m) and (out.value[:, 1::m] == 0.0).all()
         g = rng.normal(size=out.shape)
         ad.backward(out, g)
         want, gx, gws = _unfused_block_matmul(x.value, [w.value for w in weights], n, slope, g)
         assert out.value.tobytes() == want.tobytes()
         if slope == 1.0:  # the plain linear map
             assert out.value.tobytes() == np.vstack([
-                x.value[d * n:(d + 1) * n] @ w.value for d, w in enumerate(weights)]).tobytes()
+                x.value[d * n:(d + 1) * n].reshape(-1, f) @ w.value
+                for d, w in enumerate(weights)]).reshape(out.shape).tobytes()
         assert x.grad.tobytes() == gx.tobytes()
         for w, gw in zip(weights, gws):
             assert w.grad.tobytes() == gw.tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_leaky_relu_adjoint_allocates_its_outputs_and_buffers_alone(workers, monkeypatch):
+    # each half of the blocks picks slope or 1.0 by the output's sign
+    # straight into its own buffer; np.take in its default mode ("raise")
+    # would buffer a copy of that (p*block, m) output first
+    monkeypatch.setattr(ad, "_WORKERS", workers)
+    rng = np.random.default_rng(29)
+    k, n, f, m, passes = 4, 512, 8, 32, 2
+    x = ad.leaf(rng.normal(size=(k * n, passes * f)))
+    weights = [ad.leaf(rng.normal(size=(f, m))) for _ in range(k)]
+    out = ad.block_matmul(x, weights, n, 0.01)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        grads = out._vjp(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in grads)
+    one = passes * n * m * 8  # bytes of one block's (p*block, m) float64 or intp buffer
+    buffers = 2 * 2 * one  # per half: a float64 and an intp buffer
+    assert peak < outputs + buffers + one // 2  # the slack holds no further buffer
 
 
 def test_evaluation_is_deterministic():

@@ -599,10 +599,21 @@ BAD_INPUTS = {
     # a checkpoint the graph does not fit: the labels are checked before its forward pass
     "eval-checkpoint-one-class": ("eval --checkpoint {wide} --graph {g}", {}, "two classes"),
     "ablate-one-class": ("ablate --graph {g} --seeds 1 --epochs 1", {}, "two classes"),
+    "features-huge": ("train --graph {g} --epochs 1", {}, "the features make the gradient"),
+    "features-large": ("eval --graph {g}", {"train.epochs": 1, "model.embed": 4},
+                       "the features make the loss"),
 }
 
 # cases whose graph gives every node the same class
 ONE_CLASS = ("eval-one-class", "eval-checkpoint-one-class", "ablate-one-class")
+
+# features.csv edits: finite, so the graph loads, but the first epoch's gradient
+# (every entry 1e308) or loss (scaled up to 1e160) overflows, which only
+# training can tell
+BAD_FEATURES = {
+    "features-huge": lambda x: np.full_like(x, 1e308),
+    "features-large": lambda x: x * (1e160 / np.abs(x).max()),
+}
 
 # meta.json counts that replace the generated graph's own, or an edit of its meta
 BAD_META = {
@@ -704,7 +715,12 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         meta_file.write_text(json.dumps(edit(meta) if callable(edit) else {**meta, **edit}))
     if case in ONE_CLASS:
         (graph_dir / "labels.csv").write_text("1\n" * load_multiplex(graph_dir).n_nodes)
-    monkeypatch.setattr(cli, "train", _no_training)
+    if case in BAD_FEATURES:
+        graph = load_multiplex(graph_dir)
+        graph.features = BAD_FEATURES[case](graph.features)
+        save_multiplex(graph, graph_dir)
+    else:
+        monkeypatch.setattr(cli, "train", _no_training)
     capsys.readouterr()
     out = tmp_path / "out" / ("metrics.json" if case.endswith("width") else "run")
     argv = argv.format(g=graph_dir, wide=wide / "checkpoint.npz", bad=bad).split()
@@ -718,6 +734,8 @@ def test_bad_config_or_checkpoint_exits_one(tmp_path, capsys, monkeypatch, case)
         assert str(graph_dir / "meta.json") in err
     if case in BAD_CHECKPOINTS:
         assert str(bad) in err
+    if case in BAD_FEATURES:
+        assert err.startswith(f"error: {graph_dir / 'features.csv'}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

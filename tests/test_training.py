@@ -400,9 +400,9 @@ def test_epoch_tape_keeps_each_activation_once(p_in, p_out, mode):
         if ".W" in t.name:
             reads[id(t)].add(t.name.split(".")[0])
     for l in range(1, 4):
-        states = [t for t in tape if t.shape == (schedule[l - 1] * n, m)
+        states = [t for t in tape if t.shape == (schedule[l - 1] * n, 2 * m)
                   and f"layer{l}" in reads[id(t)]]
-        assert len(states) == 2  # one per pass, clean and corrupted
+        assert len(states) == 1  # the clean and the corrupted pass side by side
     for l, level in enumerate(hier.levels[1:], start=1):
         assert [t.shape for t in tape if t is not level.values].count((schedule[l], nnz)) == 1
     assert all(t.shape != (schedule[-1], nnz) for t in tape)  # the last aggregate
@@ -417,7 +417,7 @@ PROBE_GRAPHS = {  # 60 nodes, 4 dimensions: a sparse and a dense union
 @pytest.mark.parametrize("mode", sorted(PROBE_GRAPHS))
 def test_one_epoch_tape_in_memory_at_a_time(mode, monkeypatch):
     # each pass's states are part of its epoch's tape: none of the previous
-    # epoch's may still be alive when the next epoch's passes start
+    # epoch's may still be alive when the next epoch's pass starts
     graph = generate(PROBE_GRAPHS[mode]).graph
     assert mdl.prepare_adjacencies(graph).union.mode == mode
     states, alive = [], []  # per epoch: weak references to its passes' states
@@ -437,7 +437,7 @@ def test_one_epoch_tape_in_memory_at_a_time(mode, monkeypatch):
     monkeypatch.setattr(tr, "epoch_loss", counted_epoch_loss)
     tr.train(graph, mdl.ModelConfig(n_layers=2, embed_size=5),
              tr.TrainConfig(max_epochs=4, patience=5))
-    assert [len(s) for s in states] == [2, 2, 2, 2]
+    assert [len(s) for s in states] == [1, 1, 1, 1]  # one joint pass per epoch
     assert alive == [0, 0, 0, 0]
 
 
@@ -539,6 +539,42 @@ def test_threaded_training_equals_serial_to_the_bit(case, monkeypatch):
     assert [k for k in serial if serial[k].tobytes() != threaded[k].tobytes()] == []
 
 
+def _two_pass_loss(hier, x, x_hat, params, q, cfg):
+    """The epoch loss from one `propagate` per pass, clean and corrupted."""
+    z = mdl.propagate(hier, x, params, cfg)
+    z_hat = mdl.propagate(hier, x_hat, params, cfg)
+    return ad.neg(tr.dgi_objective(z, z_hat, q)), z
+
+
+@pytest.mark.parametrize("case", sorted(POOL_GRAPHS))
+def test_joint_pass_matches_two_passes(case):
+    # the joint pass sums the two passes' shares of each parameter adjoint
+    # inside its products, and its BLAS calls take twice the rows, so it
+    # may round differently: within 1e-12 (loss, Z) and 1e-10 (gradients)
+    # of the largest magnitude
+    graph = generate(POOL_GRAPHS[case]).graph
+    cfg = mdl.ModelConfig.for_variant("full", embed_size=8)
+    trained = tr.train(graph, cfg, tr.TrainConfig(max_epochs=3, patience=5, seed=2))
+    params, q = trained.params, trained.discriminator
+    hier = mdl.build_hierarchy(mdl.prepare_adjacencies(graph), params)
+    x = graph.features
+    x_hat = corrupt_features(x, 9)
+    named = params.trainable() + [("Q", q)]
+    runs = []
+    for epoch_loss in (_two_pass_loss, tr.epoch_loss):
+        loss, z = epoch_loss(hier, x, x_hat, params, q, cfg)
+        ad.backward(loss)
+        runs.append((float(loss.value), z.value.copy(),
+                     {name: ad.grad_or_zero(t).copy() for name, t in named}))
+    (loss2, z2, grads2), (loss1, z1, grads1) = runs
+    assert z1.shape == z2.shape == (graph.n_nodes, 8)
+    assert abs(loss1 - loss2) <= 1e-12 * abs(loss2)
+    assert np.abs(z1 - z2).max() <= 1e-12 * np.abs(z2).max()
+    assert len(grads2) >= 10 and grads1.keys() == grads2.keys()
+    for name, want in grads2.items():
+        assert np.abs(grads1[name] - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
 def test_ops_are_entered_on_the_calling_thread(monkeypatch):
     # a tracer keeps its open spans on one stack: every public autodiff and
     # model function, and every adjoint, runs on the thread that trains,
@@ -585,10 +621,11 @@ def test_ops_are_entered_on_the_calling_thread(monkeypatch):
 
 
 # sha256 of the losses, Z and every epoch's gradients of a 3-epoch training,
-# recorded before each dense level refilled the previous epoch's operator
+# recorded once the clean and the corrupted pass ran as one joint pass
+# (`test_joint_pass_matches_two_passes` bounds how far that moved them)
 TRAINING_DIGESTS = {
-    "dense": "bb0468cd9225187dfd5934259e9faa2f49d1485fc5db8d92a8ef8b7b6497bb96",
-    "sparse": "71ab1db31e7db084a75cf1b471d2e16a4698c0529c583fffab89da25944e1f8a",
+    "dense": "5b7d9c0b6535645a6843a020de0f087b6f2995c982b85744a9ee2c2a0cdc9817",
+    "sparse": "f56756e1988a7786af78626bb2dddf35f8cde738e8db224a83cb2ecca75bb8ce",
 }
 
 
